@@ -49,10 +49,6 @@ DEFAULTS = {
         "val_slices": 20,
         "validate_every": 0,
     },
-    "evaluation": {
-        "ssim_window": 11,
-        "p_threshold": 0.05,
-    },
 }
 
 

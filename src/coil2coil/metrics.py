@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import convolve
+from scipy.special import betainc
 
 from .imaging import check_mask
 
@@ -80,60 +81,6 @@ def ssim(test, ref, mask, dynamic_range=None):
     return float(np.mean((num / den)[mask]))
 
 
-def _betacf(a, b, x, max_iter=300, tol=1e-14):
-    """Continued fraction for the incomplete beta function (Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < 1e-300:
-        d = 1e-300
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < 1e-300:
-            d = 1e-300
-        c = 1.0 + aa / c
-        if abs(c) < 1e-300:
-            c = 1e-300
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < tol:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def _betainc(a, b, x):
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log(1.0 - x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def paired_t_test(a, b):
     """Two-sided paired t-test on equal-length sequences.
 
@@ -153,8 +100,7 @@ def paired_t_test(a, b):
         raise ValueError("differences have zero variance")
     t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
-    p = _betainc(df / 2.0, 0.5, df / (df + t * t))
-    return t, min(max(p, 0.0), 1.0)
+    return t, float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
 @dataclass

@@ -5,6 +5,13 @@ repeated depth-2 times, then a final conv, with a skip connection adding
 the network input to the final conv output.  Single image channel in and
 out; all arithmetic in float64 so gradients can be checked against central
 finite differences.
+
+Activations are channels-last, (N, H, W, C).  Every convolution -- the
+forward pass and both gradients -- is im2col + GEMM over cache-sized
+blocks of patch rows (_patch_blocks); train mode keeps each conv's input,
+not its patches, and the weight gradient rebuilds them.  Only the
+first and the last conv carry a bias: a bias feeding batch norm is
+cancelled by its mean subtraction, so it would be a dead parameter.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "NetworkConfig",
@@ -56,7 +64,7 @@ class NetworkConfig:
 class NetworkParams:
     config: NetworkConfig
     weights: list  # per conv layer, (C_out, C_in, k, k)
-    biases: list  # per conv layer, (C_out,)
+    biases: list  # first and last conv only, (C_out,)
     bn_scale: list  # per middle layer, (features,)
     bn_shift: list
     bn_mean: list  # running statistics
@@ -67,10 +75,12 @@ class NetworkParams:
 
     def flat(self):
         """Trainable parameter arrays as (name, array) pairs, in a fixed order."""
+        bias = {0: self.biases[0], len(self.weights) - 1: self.biases[1]}
         out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for i, w in enumerate(self.weights):
             out.append((f"conv{i}.weight", w))
-            out.append((f"conv{i}.bias", b))
+            if i in bias:
+                out.append((f"conv{i}.bias", bias[i]))
         for i, (g, s) in enumerate(zip(self.bn_scale, self.bn_shift)):
             out.append((f"bn{i}.scale", g))
             out.append((f"bn{i}.shift", s))
@@ -105,19 +115,18 @@ def init_network(config, rng):
     """Xavier-uniform kernels (bound sqrt(6/(fan_in+fan_out))), zero biases,
     batch-norm scale 1 / shift 0, running stats (0, 1)."""
     k = config.kernel_size
-    weights, biases = [], []
+    weights = []
     for c_in, c_out in _layer_channels(config):
         fan_in = c_in * k * k
         fan_out = c_out * k * k
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(c_out, c_in, k, k)))
-        biases.append(np.zeros(c_out))
     f = config.features
     n_bn = config.depth - 2
     return NetworkParams(
         config=config,
         weights=weights,
-        biases=biases,
+        biases=[np.zeros(f), np.zeros(1)],
         bn_scale=[np.ones(f) for _ in range(n_bn)],
         bn_shift=[np.zeros(f) for _ in range(n_bn)],
         bn_mean=[np.zeros(f) for _ in range(n_bn)],
@@ -125,39 +134,35 @@ def init_network(config, rng):
     )
 
 
-def _im2col(x, k):
-    """(N, C, H, W) -> (N, C, k, k, H, W) patch tensor with zero padding."""
-    n, c, h, w = x.shape
+# Entries (8 B each) of one block of patch rows, 1 MiB: it stays in L2 and
+# is reused from the heap, where one whole-image patch matrix (42 MB at
+# 192x192x16) is fresh memory whose page faults cost as much as its GEMM.
+_BLOCK_ELEMS = 1 << 17
+
+
+def _patch_blocks(x, k):
+    """Yield (index, patches) over blocks of rows of each image in
+    channels-last x (N, H, W, C): x[index] is the block, and patches its
+    zero-padded (rows * W, k*k*C) im2col matrix, C innermost."""
+    n, h, wd, c = x.shape
     p = (k - 1) // 2
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    xp[:, :, p : p + h, p : p + w] = x
-    cols = np.empty((n, c, k, k, h, w), dtype=x.dtype)
-    for di in range(k):
-        for dj in range(k):
-            cols[:, :, di, dj] = xp[:, :, di : di + h, dj : dj + w]
-    return cols
+    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    win = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+    rows = max(1, _BLOCK_ELEMS // (wd * k * k * c))
+    for b in range(n):
+        for r in range(0, h, rows):
+            yield (b, slice(r, r + rows)), win[b, r : r + rows].reshape(-1, k * k * c)
 
 
-def _conv_forward(x, w, b):
-    cols = _im2col(x, w.shape[-1])
-    y = np.einsum("ncklhw,fckl->nfhw", cols, w, optimize=True)
-    y += b[None, :, None, None]
-    return y, cols
-
-
-def _conv_backward(dy, cols, w, x_shape):
-    dw = np.einsum("nfhw,ncklhw->fckl", dy, cols, optimize=True)
-    db = dy.sum(axis=(0, 2, 3))
-    dcols = np.einsum("nfhw,fckl->ncklhw", dy, w, optimize=True)
-    n, c, h, w_ = x_shape
-    k = w.shape[-1]
-    p = (k - 1) // 2
-    dxp = np.zeros((n, c, h + 2 * p, w_ + 2 * p))
-    for di in range(k):
-        for dj in range(k):
-            dxp[:, :, di : di + h, dj : dj + w_] += dcols[:, :, di, dj]
-    dx = dxp[:, :, p : p + h, p : p + w_]
-    return dx, dw, db
+def _conv(x, w):
+    """Zero-padded 'same' correlation of channels-last x (N, H, W, C) with
+    w (F, C, k, k): one GEMM per patch block, into y (N, H, W, F)."""
+    f, c, k, _ = w.shape
+    wmat = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
+    y = np.empty(x.shape[:3] + (f,))
+    for i, patches in _patch_blocks(x, k):
+        np.matmul(patches, wmat, out=y[i].reshape(-1, f))
+    return y
 
 
 def _leaky_forward(x, slope):
@@ -165,44 +170,37 @@ def _leaky_forward(x, slope):
 
 
 def _leaky_backward(dy, x, slope):
+    """x may be the activation's input or its output: both have one sign."""
     return dy * np.where(x >= 0, 1.0, slope)
 
 
 def _bn_forward_train(x, scale, shift, eps):
-    mean = x.mean(axis=(0, 2, 3))
-    var = x.var(axis=(0, 2, 3))  # biased
+    mean = x.mean(axis=(0, 1, 2))
+    var = x.var(axis=(0, 1, 2))  # biased
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = scale[None, :, None, None] * xhat + shift[None, :, None, None]
-    return y, (xhat, inv_std, scale), mean, var
-
-
-def _bn_forward_eval(x, scale, shift, run_mean, run_var, eps):
-    inv_std = 1.0 / np.sqrt(run_var + eps)
-    xhat = (x - run_mean[None, :, None, None]) * inv_std[None, :, None, None]
-    return scale[None, :, None, None] * xhat + shift[None, :, None, None]
+    xhat = (x - mean) * inv_std
+    return scale * xhat + shift, (xhat, inv_std, scale), mean, var
 
 
 def _bn_backward(dy, cache):
     xhat, inv_std, scale = cache
-    n_eff = dy.shape[0] * dy.shape[2] * dy.shape[3]
-    dshift = dy.sum(axis=(0, 2, 3))
-    dscale = (dy * xhat).sum(axis=(0, 2, 3))
-    dxhat = dy * scale[None, :, None, None]
+    n_eff = dy.shape[0] * dy.shape[1] * dy.shape[2]
+    dshift = dy.sum(axis=(0, 1, 2))
+    dscale = (dy * xhat).sum(axis=(0, 1, 2))
+    dxhat = dy * scale
     dx = (
-        dxhat
-        - dxhat.mean(axis=(0, 2, 3))[None, :, None, None]
-        - xhat * (dxhat * xhat).sum(axis=(0, 2, 3))[None, :, None, None] / n_eff
-    ) * inv_std[None, :, None, None]
+        dxhat - dxhat.mean(axis=(0, 1, 2)) - xhat * (dxhat * xhat).sum(axis=(0, 1, 2)) / n_eff
+    ) * inv_std
     return dx, dscale, dshift
 
 
 def forward(params, batch, train=False):
     """Run the network on a batch of real images (N, H, W).
 
-    Returns (outputs, cache).  Train mode normalizes with batch statistics
-    and updates the running statistics in place; eval mode uses running
-    statistics and leaves params untouched.
+    Returns (outputs, cache).  Train mode normalizes with batch statistics,
+    updates the running statistics in place and caches what backward
+    needs; eval mode uses running statistics, leaves params untouched and
+    caches nothing but the input shape.
     """
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 2:
@@ -210,44 +208,32 @@ def forward(params, batch, train=False):
     if batch.ndim != 3 or batch.shape[0] < 1:
         raise ValueError(f"batch must be (N, H, W), got {batch.shape}")
     cfg = params.config
-    x = batch[:, None]  # (N, 1, H, W)
-    skip = x
-    cache = {"input_shape": batch.shape, "conv": [], "leaky": [], "bn": []}
-
-    # first layer: conv + leaky
-    y, cols = _conv_forward(x, params.weights[0], params.biases[0])
-    cache["conv"].append((cols, x.shape))
-    cache["leaky"].append(y)
-    x = _leaky_forward(y, cfg.leaky_slope)
-
+    cache = {"input_shape": batch.shape, "train": train, "inputs": [], "bn": []}
+    last = len(params.weights) - 1
     mom = cfg.bn_momentum
-    for i in range(cfg.depth - 2):
-        y, cols = _conv_forward(x, params.weights[i + 1], params.biases[i + 1])
-        cache["conv"].append((cols, x.shape))
+    x = batch[..., None]  # (N, H, W, 1)
+    for i, w in enumerate(params.weights):
         if train:
+            cache["inputs"].append(x)
+        y = _conv(x, w)
+        if i == last:
+            break
+        j = i - 1  # batch-norm index of a middle layer
+        if i == 0:
+            y += params.biases[0]
+        elif train:
             y, bn_cache, mean, var = _bn_forward_train(
-                y, params.bn_scale[i], params.bn_shift[i], cfg.bn_eps
+                y, params.bn_scale[j], params.bn_shift[j], cfg.bn_eps
             )
             cache["bn"].append(bn_cache)
-            params.bn_mean[i] = mom * params.bn_mean[i] + (1 - mom) * mean
-            params.bn_var[i] = mom * params.bn_var[i] + (1 - mom) * var
+            params.bn_mean[j] = mom * params.bn_mean[j] + (1 - mom) * mean
+            params.bn_var[j] = mom * params.bn_var[j] + (1 - mom) * var
         else:
-            y = _bn_forward_eval(
-                y,
-                params.bn_scale[i],
-                params.bn_shift[i],
-                params.bn_mean[i],
-                params.bn_var[i],
-                cfg.bn_eps,
-            )
-        cache["leaky"].append(y)
+            inv_std = 1.0 / np.sqrt(params.bn_var[j] + cfg.bn_eps)
+            y = params.bn_scale[j] * ((y - params.bn_mean[j]) * inv_std) + params.bn_shift[j]
         x = _leaky_forward(y, cfg.leaky_slope)
-
-    y, cols = _conv_forward(x, params.weights[-1], params.biases[-1])
-    cache["conv"].append((cols, x.shape))
-    out = y + skip
-    cache["train"] = train
-    return out[:, 0], cache
+    out = y[..., 0] + params.biases[1] + batch
+    return out, cache
 
 
 def backward(params, cache, output_grads):
@@ -262,32 +248,26 @@ def backward(params, cache, output_grads):
     dy = np.asarray(output_grads, dtype=np.float64)
     if dy.shape != cache["input_shape"]:
         raise ValueError("output gradient shape does not match cached batch")
-    dy = dy[:, None]
-
-    grads = {}
-    n_conv = len(params.weights)
-
-    # final conv
-    cols, x_shape = cache["conv"][-1]
-    dx, dw, db = _conv_backward(dy, cols, params.weights[-1], x_shape)
-    grads[f"conv{n_conv - 1}.weight"] = dw
-    grads[f"conv{n_conv - 1}.bias"] = db
-
-    for i in range(cfg.depth - 2 - 1, -1, -1):
-        dx = _leaky_backward(dx, cache["leaky"][i + 1], cfg.leaky_slope)
-        dx, dscale, dshift = _bn_backward(dx, cache["bn"][i])
-        grads[f"bn{i}.scale"] = dscale
-        grads[f"bn{i}.shift"] = dshift
-        cols, x_shape = cache["conv"][i + 1]
-        dx, dw, db = _conv_backward(dx, cols, params.weights[i + 1], x_shape)
-        grads[f"conv{i + 1}.weight"] = dw
-        grads[f"conv{i + 1}.bias"] = db
-
-    dx = _leaky_backward(dx, cache["leaky"][0], cfg.leaky_slope)
-    cols, x_shape = cache["conv"][0]
-    _, dw, db = _conv_backward(dx, cols, params.weights[0], x_shape)
-    grads["conv0.weight"] = dw
-    grads["conv0.bias"] = db
+    dy = dy[..., None]
+    last = len(params.weights) - 1
+    grads = {f"conv{last}.bias": dy.sum(axis=(0, 1, 2))}
+    for i in range(last, -1, -1):
+        if i < last:
+            dy = _leaky_backward(dy, cache["inputs"][i + 1], cfg.leaky_slope)
+            if i == 0:
+                grads["conv0.bias"] = dy.sum(axis=(0, 1, 2))
+            else:
+                dy, grads[f"bn{i - 1}.scale"], grads[f"bn{i - 1}.shift"] = _bn_backward(
+                    dy, cache["bn"][i - 1]
+                )
+        w = params.weights[i]
+        f, c, k, _ = w.shape
+        dw = np.zeros((f, k * k * c))  # dy^T @ patches, block by block
+        for b, patches in _patch_blocks(cache["inputs"][i], k):
+            dw += dy[b].reshape(-1, f).T @ patches
+        grads[f"conv{i}.weight"] = dw.reshape(f, k, k, c).transpose(0, 3, 1, 2)
+        if i > 0:  # input gradient: correlation with the flipped, transposed kernel
+            dy = _conv(dy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     return grads
 
 

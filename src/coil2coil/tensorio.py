@@ -182,12 +182,15 @@ def load_checkpoint(path):
         arrays[name] = arr.astype(np.float64)
     if pos != len(buf):
         raise TensorFormatError("trailing bytes after checkpoint tensors")
+    last = len(params.weights) - 1
     for i in range(len(params.weights)):
         params.weights[i] = arrays[f"conv{i}.weight"]
-        params.biases[i] = arrays[f"conv{i}.bias"]
+    params.biases = [arrays["conv0.bias"], arrays[f"conv{last}.bias"]]
     for i in range(len(params.bn_scale)):
         params.bn_scale[i] = arrays[f"bn{i}.scale"]
         params.bn_shift[i] = arrays[f"bn{i}.shift"]
-        params.bn_mean[i] = arrays[f"bn{i}.mean"]
+        # older checkpoints carry a bias on the conv feeding this batch norm;
+        # it only shifts the pre-norm values, so fold it into the running mean
+        params.bn_mean[i] = arrays[f"bn{i}.mean"] - arrays.get(f"conv{i + 1}.bias", 0.0)
         params.bn_var[i] = arrays[f"bn{i}.var"]
     return params

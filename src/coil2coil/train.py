@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import network as net
-from .imaging import effective_sensitivity
+from .imaging import coil_combine, effective_sensitivity, magnitude
 from .metrics import psnr
 from .pairs import TrainingPair, combine_all, make_training_pair, split_channels
 
@@ -107,9 +107,11 @@ def c2c_loss(pred, pair: TrainingPair, normalize=True):
     return loss, grad
 
 
-def _input_scale(image, mask):
-    """Intensity scale of a network input: std over masked voxels."""
-    s = float(np.asarray(image)[np.asarray(mask, dtype=bool)].std())
+def _input_scale(image, mask=None):
+    """Intensity scale of a network input: std over masked voxels (the
+    whole image when mask is None)."""
+    img = np.asarray(image)
+    s = float((img[np.asarray(mask, dtype=bool)] if mask is not None else img).std())
     return s if s > 0 else 1.0
 
 
@@ -220,10 +222,7 @@ def validate(params, val_slices):
 def _infer(params, image, mask=None):
     """Eval-mode forward with the per-image scale normalization undone."""
     img = np.asarray(image, dtype=np.float64)
-    region = img[np.asarray(mask, dtype=bool)] if mask is not None else img
-    s = float(region.std())
-    if s <= 0:
-        s = 1.0
+    s = _input_scale(img, mask)
     out, _ = net.forward(params, (img / s)[None], train=False)
     return out[0] * s
 
@@ -266,8 +265,7 @@ def denoise_two_group_average(params, stack, sens, rng, mask=None, sens_eps=1e-1
             split, best = cand, score
     outs = []
     for group in (split.group_j, split.group_k):
-        g = list(group)
-        img = np.abs(np.einsum("chw,chw->hw", sens_arr[g].conj(), stack[g]))
+        img = magnitude(coil_combine(stack, sens_arr, group))
         s_g = effective_sensitivity(sens_arr, group)
         floor = sens_eps * s_g.max() if s_g.max() > 0 else 1.0
         ratio = s_full / np.maximum(s_g, floor)

@@ -45,8 +45,9 @@ class TestParsing:
             assert cfg["training"]["normalize"] is want
 
     def test_unknown_section_with_line_number(self):
-        with pytest.raises(ConfigError, match=r"line 2: unknown section"):
-            parse_config("\n[nope]\n")
+        for section in ("nope", "evaluation"):
+            with pytest.raises(ConfigError, match=r"line 2: unknown section"):
+                parse_config(f"\n[{section}]\n")
 
     def test_unknown_key_with_line_number(self):
         with pytest.raises(ConfigError, match=r"line 3: unknown key 'bogus'"):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.ndimage import correlate
 
+from coil2coil import network
 from coil2coil.network import (
     AdamState,
     NetworkConfig,
+    _conv,
     adam_step,
     backward,
     forward,
@@ -59,6 +62,27 @@ class TestInit:
         b = init_network(tiny_config(), np.random.default_rng(2))
         for (_, x), (_, y) in zip(a.flat(), b.flat()):
             assert np.array_equal(x, y)
+
+
+class TestConv:
+    # image rows per patch block: the default (whole 7x9 images), 1, 3 (uneven)
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_scipy_correlate(self, k, rows, monkeypatch):
+        rng = np.random.default_rng(k)
+        n, c, f = rng.integers(1, 4, size=3)
+        x = rng.standard_normal((n, 7, 9, c))
+        w = rng.standard_normal((f, c, k, k))
+        if rows is not None:
+            monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * 9 * k * k * c)
+        y = _conv(x, w)
+        ref = np.zeros((n, 7, 9, f))
+        for b in range(n):
+            for fi in range(f):
+                for ci in range(c):
+                    ref[b, :, :, fi] += correlate(x[b, :, :, ci], w[fi, ci], mode="constant")
+        assert y.shape == (n, 7, 9, f)
+        assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestForward:
@@ -132,6 +156,25 @@ class TestBackward:
     def test_gradient_check(self):
         err = gradient_check(rng=np.random.default_rng(0))
         assert err <= 1e-4
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_gradient_check_with_row_blocks(self, rows, monkeypatch):
+        # the check's 8x8 images fit one patch block; force blocks of rows
+        monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * 8 * 3 * 3 * 2)
+        assert gradient_check(rng=np.random.default_rng(0)) <= 1e-4
+
+    def test_every_parameter_gets_a_gradient(self):
+        # no parameter may be dead: a conv bias feeding batch norm would get
+        # only roundoff here
+        params = init_network(NetworkConfig(depth=5, features=4), np.random.default_rng(21))
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((3, 8, 8))
+        out, cache = forward(params, x, train=True)
+        grads = backward(params, cache, rng.standard_normal(out.shape))
+        assert sorted(grads) == sorted(name for name, _ in params.flat())
+        for name, arr in params.flat():
+            assert grads[name].shape == arr.shape
+            assert np.linalg.norm(grads[name]) > 1e-8, name
 
     def test_requires_train_cache(self):
         params = init_network(tiny_config(), np.random.default_rng(15))

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -142,3 +144,35 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(TensorFormatError):
             load_checkpoint(path)
+
+    def test_pre_norm_conv_biases_fold_into_running_mean(self, tmp_path):
+        # Older checkpoints carry a bias on every conv.  A bias b feeding
+        # batch norm with running mean mu + b acts exactly like no bias with
+        # running mean mu.  Dyadic values keep both files exact in float32.
+        cfg = NetworkConfig(depth=4, features=3)
+        rng = np.random.default_rng(7)
+        params = init_network(cfg, rng)
+        params.biases = [rng.integers(-32, 32, b.shape) / 16 for b in params.biases]
+        params.bn_mean = [rng.integers(-32, 32, 3) / 16 for _ in params.bn_mean]
+        params.bn_var = [rng.integers(1, 32, 3) / 16 for _ in params.bn_var]
+        path = tmp_path / "new.c2k"
+        save_checkpoint(path, params)
+        reference = load_checkpoint(path)
+
+        arrays = dict(reference.flat())
+        for i in range(len(reference.bn_mean)):
+            b = rng.integers(-32, 32, 3) / 16
+            arrays[f"conv{i + 1}.bias"] = b
+            arrays[f"bn{i}.mean"] = reference.bn_mean[i] + b
+            arrays[f"bn{i}.var"] = reference.bn_var[i]
+        head = json.dumps({"config": dataclasses.asdict(cfg), "tensors": list(arrays)}).encode()
+        old = tmp_path / "old.c2k"
+        old.write_bytes(
+            struct.pack("<I", len(head)) + head + b"".join(tensor_bytes(a) for a in arrays.values())
+        )
+        loaded = load_checkpoint(old)
+        assert [name for name, _ in loaded.flat()] == [name for name, _ in reference.flat()]
+        x = np.random.default_rng(8).standard_normal((2, 8, 8))
+        a, _ = forward(reference, x, train=False)
+        b, _ = forward(loaded, x, train=False)
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
