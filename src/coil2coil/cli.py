@@ -130,29 +130,13 @@ def _cmd_pairgen(args):
 
 def _cmd_train(args):
     cfg = load_config(args.config)
-    t = cfg["training"]
-    n = cfg["network"]
-    net_config = network.NetworkConfig(
-        depth=n["depth"],
-        features=n["features"],
-        kernel_size=n["kernel_size"],
-        leaky_slope=n["leaky_slope"],
-        bn_momentum=n["bn_momentum"],
-        bn_eps=n["bn_eps"],
-    )
-    train_config = TrainConfig(
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        base_lr=t["base_lr"],
-        lr_decay=t["lr_decay"],
-        mode=t["mode"],
-        whiten=t["whiten"],
-        normalize=t["normalize"],
-        seed=args.seed,
-        validate_every=t["validate_every"],
-    )
-    slices = datasets.simulate_dataset(cfg, t["slices"], args.seed, with_second=t["mode"] == "N2N")
-    val = datasets.simulate_dataset(cfg, t["val_slices"], args.seed + 10_000) if t["val_slices"] else None
+    t = dict(cfg["training"])
+    n_slices, n_val = t.pop("slices"), t.pop("val_slices")
+    net_config = network.NetworkConfig(**cfg["network"])
+    train_config = TrainConfig(**t, seed=args.seed)
+    slices = datasets.simulate_dataset(cfg, n_slices, args.seed, with_second=train_config.mode == "N2N")
+    # validation draws from its own seed, so skipping it leaves training unchanged
+    val = datasets.simulate_dataset(cfg, n_val, args.seed + 10_000) if n_val and t["validate_every"] else None
     params, log, _ = train(slices, net_config, train_config, val_slices=val)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)

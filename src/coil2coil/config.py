@@ -7,10 +7,15 @@ with the offending line number.
 from __future__ import annotations
 
 import copy
+from dataclasses import asdict
+
+from .network import NetworkConfig
+from .train import TrainConfig
 
 __all__ = ["DEFAULTS", "parse_config", "load_config", "ConfigError"]
 
-# section -> key -> default (type of the default fixes the parsed type)
+# section -> key -> default (type of the default fixes the parsed type); [network] and
+# [training] are the NetworkConfig and TrainConfig fields but seed, plus the dataset sizes
 DEFAULTS = {
     "phantom": {
         "grid_size": 32,
@@ -29,25 +34,11 @@ DEFAULTS = {
         "rho_min": 0.0,
         "rho_max": 0.2,
     },
-    "network": {
-        "depth": 6,
-        "features": 16,
-        "kernel_size": 3,
-        "leaky_slope": 0.1,
-        "bn_momentum": 0.9,
-        "bn_eps": 1e-5,
-    },
+    "network": asdict(NetworkConfig()),
     "training": {
-        "epochs": 30,
-        "batch_size": 8,
-        "base_lr": 1e-4,
-        "lr_decay": 0.87,
-        "mode": "C2C",
-        "whiten": True,
-        "normalize": True,
+        **{k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
         "slices": 200,
         "val_slices": 20,
-        "validate_every": 0,
     },
 }
 

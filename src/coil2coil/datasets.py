@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .pairs import combine_all
@@ -15,9 +17,21 @@ from .simulate import (
     random_phantom_spec,
     synthesize_acquisition,
 )
-from .train import SliceData
 
-__all__ = ["coil_spec_from_config", "simulate_slice", "simulate_dataset"]
+__all__ = ["SliceData", "coil_spec_from_config", "simulate_slice", "simulate_dataset"]
+
+
+@dataclass
+class SliceData:
+    """One training slice: acquisition plus everything needed per mode."""
+
+    stack: np.ndarray  # (m, H, W) complex
+    sens: np.ndarray
+    psi: np.ndarray
+    mask: np.ndarray
+    clean: np.ndarray = None  # clean combined magnitude (N2CL, validation)
+    stack_b: np.ndarray = None  # second noise realization (N2N)
+    phantom: np.ndarray = None  # underlying complex image, when known
 
 
 def coil_spec_from_config(cfg):

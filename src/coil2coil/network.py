@@ -17,7 +17,7 @@ cancelled by its mean subtraction, so it would be a dead parameter.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,6 +85,12 @@ class NetworkParams:
             out.append((f"bn{i}.scale", g))
             out.append((f"bn{i}.shift", s))
         return out
+
+    def state(self):
+        """Every (name, array) a checkpoint stores: flat(), then the batch-norm
+        running means, then the running variances."""
+        means = [(f"bn{i}.mean", a) for i, a in enumerate(self.bn_mean)]
+        return self.flat() + means + [(f"bn{i}.var", a) for i, a in enumerate(self.bn_var)]
 
 
 @dataclass

@@ -16,7 +16,7 @@ var(label') = v_j.  Sensitivity normalization is carried as the pair's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .imaging import (
     magnitude,
     propagate_noise_stats,
 )
+from .simulate import sample_noise
 
 __all__ = [
     "ChannelSplit",
@@ -40,6 +41,10 @@ __all__ = [
     "combine_all",
     "empirical_noise_correlation",
 ]
+
+DET_EPS = 1e-9  # relative determinant below which whitening falls back
+SENS_FLOOR = 1e-3  # fraction of the peak sensitivity counted as coverage
+MC_CHUNK = 500  # noise realizations drawn at once by the Monte-Carlo check
 
 
 @dataclass(frozen=True)
@@ -95,16 +100,16 @@ def split_channels(m, rng):
     )
 
 
-def whitening_coefficients(stats: VoxelStats, eps=1e-9):
+def whitening_coefficients(stats: VoxelStats):
     """Per-voxel (alpha, beta) of the GLS decorrelation.
 
-    Voxels with a degenerate 2x2 covariance (determinant below eps times
+    Voxels with a degenerate 2x2 covariance (determinant below DET_EPS times
     v_j*v_k, or v_k = 0) fall back to pure variance matching: alpha = 0,
     beta = sqrt(v_j / v_k) when v_k > 0, else beta = 1.
     """
     vj, vk, c = stats.var_j, stats.var_k, stats.cov_jk
     det = vj * vk - c**2
-    good = (det > eps * vj * vk) & (vk > 0)
+    good = (det > DET_EPS * vj * vk) & (vk > 0)
     root = np.sqrt(np.where(good, det, 1.0))
     alpha = np.where(good, -c / root, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,7 +124,7 @@ def combine_all(stack, sens):
     return magnitude(coil_combine(stack, sens, range(stack.shape[0])))
 
 
-def make_training_pair(stack, sens, psi, split, mask, whiten=True, sens_floor=1e-3):
+def make_training_pair(stack, sens, psi, split, mask, whiten=True):
     """Build a noise-independent training pair from one acquisition.
 
     With whiten on, the label is alpha*I_input + beta*I_label with the GLS
@@ -154,29 +159,21 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True, sens_floor=1e
 
         warnings.warn("degenerate pair: label sensitivity <= 0 inside mask", stacklevel=2)
 
-    cov_j = float(np.mean(s_j[mask] >= sens_floor * s_j.max()))
-    cov_k = float(np.mean(s_k[mask] >= sens_floor * s_k.max()))
     return TrainingPair(
-        image_in=img_in,
-        image_label=label,
-        sens_in=s_j,
-        sens_label=s_label,
-        mask=mask,
-        coverage_j=cov_j,
-        coverage_k=cov_k,
+        image_in=img_in, image_label=label, sens_in=s_j, sens_label=s_label, mask=mask,
+        coverage_j=float(np.mean(s_j[mask] >= SENS_FLOOR * s_j.max())),
+        coverage_k=float(np.mean(s_k[mask] >= SENS_FLOOR * s_k.max())),
         n_fallback=n_fallback,
     )
 
 
-def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, whiten=True, chunk=500):
+def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, whiten=True):
     """Monte-Carlo check of pair noise independence.
 
     Draws n_real noise realizations of the acquisition, builds the
     (optionally whitened) input/label magnitudes for each, and returns the
     mean absolute per-voxel correlation between them inside the mask.
     """
-    from .simulate import _noise_factor
-
     phantom = np.asarray(phantom)
     sens = check_stack(sens)
     m, h, w = sens.shape
@@ -189,7 +186,6 @@ def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, wh
     else:
         alpha, beta = np.zeros((h, w)), np.ones((h, w))
 
-    L = _noise_factor(np.asarray(psi, dtype=np.complex128))
     clean = sens * phantom[None]
     uj = sens[gj].conj().reshape(len(gj), -1)
     uk = sens[gk].conj().reshape(len(gk), -1)
@@ -197,17 +193,11 @@ def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, wh
     ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
     a_flat, b_flat = alpha.ravel(), beta.ravel()
 
-    sa = np.zeros(h * w)
-    sb = np.zeros(h * w)
-    saa = np.zeros(h * w)
-    sbb = np.zeros(h * w)
-    sab = np.zeros(h * w)
+    sa, sb, saa, sbb, sab = np.zeros((5, h * w))
     done = 0
     while done < n_real:
-        r = min(chunk, n_real - done)
-        zr = rng.standard_normal((m, r * h * w))
-        zi = rng.standard_normal((m, r * h * w))
-        noise = (L @ zr + 1j * (L @ zi)).reshape(m, r, h * w)
+        r = min(MC_CHUNK, n_real - done)
+        noise = sample_noise(psi, (r, h * w), rng)
         ej = np.einsum("cv,crv->rv", uj, noise[gj])
         ek = np.einsum("cv,crv->rv", uk, noise[gk])
         img_in = np.abs(cj[None] + ej)

@@ -6,7 +6,8 @@ grid size, so specs are resolution independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,19 +182,15 @@ def _noise_factor(psi):
 
 
 def sample_noise(psi, shape, rng):
-    """Draw a correlated complex noise stack of shape (m, H, W).
+    """Draw correlated complex noise of shape (m, *shape).
 
     Real and imaginary axes are sampled independently as L z with z i.i.d.
     standard normal, so each axis has covariance psi across channels.
     """
     m = np.asarray(psi).shape[0]
-    psi = check_covariance(psi, m)
-    L = _noise_factor(psi)
-    h, w = shape
-    zr = rng.standard_normal((m, h * w))
-    zi = rng.standard_normal((m, h * w))
-    n = L @ zr + 1j * (L @ zi)
-    return n.reshape(m, h, w)
+    L = _noise_factor(check_covariance(psi, m))
+    z = rng.standard_normal((2, m, math.prod(shape)))  # real draws, then imaginary
+    return (L @ z[0] + 1j * (L @ z[1])).reshape(m, *shape)
 
 
 def synthesize_acquisition(phantom, sens, psi, rng):

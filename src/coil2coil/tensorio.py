@@ -12,14 +12,26 @@ Container layout (all integers little-endian):
 
 Arrays are canonicalized on write (float -> float32, complex -> complex64,
 bool -> bool); round trips of canonical-dtype arrays are bit exact.
+
+Checkpoint (.c2k) layout:
+
+    length  u32      byte length of the JSON header
+    header  JSON     {"config": the NetworkConfig fields,
+                      "tensors": the record names, in order}
+    records one container record per name, in NetworkParams.state() order
+
+Malformed tensor files and checkpoints raise TensorFormatError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
 import numpy as np
+
+from .network import NetworkConfig, init_network
 
 __all__ = [
     "write_tensor",
@@ -134,37 +146,26 @@ def write_pgm(path, image, mask=None):
 
 def save_checkpoint(path, params):
     """Write network parameters: JSON config header + tensor records."""
-    from .network import NetworkConfig  # local import to avoid a cycle
-
-    names = [name for name, _ in params.flat()]
-    names += [f"bn{i}.mean" for i in range(len(params.bn_mean))]
-    names += [f"bn{i}.var" for i in range(len(params.bn_var))]
-    arrays = dict(params.flat())
-    for i in range(len(params.bn_mean)):
-        arrays[f"bn{i}.mean"] = params.bn_mean[i]
-        arrays[f"bn{i}.var"] = params.bn_var[i]
-    header = {
-        "config": {
-            "depth": params.config.depth,
-            "features": params.config.features,
-            "kernel_size": params.config.kernel_size,
-            "leaky_slope": params.config.leaky_slope,
-            "bn_momentum": params.config.bn_momentum,
-            "bn_eps": params.config.bn_eps,
-        },
-        "tensors": names,
-    }
+    state = params.state()
+    header = {"config": dataclasses.asdict(params.config), "tensors": [name for name, _ in state]}
     head = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as f:
         f.write(struct.pack("<I", len(head)))
         f.write(head)
-        for name in names:
-            f.write(tensor_bytes(arrays[name]))
+        for _, arr in state:
+            f.write(tensor_bytes(arr))
+
+
+def _stored(arrays, name, shape):
+    if name not in arrays:
+        raise TensorFormatError(f"checkpoint lacks tensor {name!r}")
+    arr = arrays[name]
+    if arr.dtype != np.float32 or arr.shape != shape:
+        raise TensorFormatError(f"tensor {name!r} is {arr.dtype} {arr.shape}, expected float32 {shape}")
+    return arr
 
 
 def load_checkpoint(path):
-    from .network import NetworkConfig, NetworkParams, init_network
-
     with open(path, "rb") as f:
         buf = f.read()
     if len(buf) < 4:
@@ -172,25 +173,24 @@ def load_checkpoint(path):
     (hlen,) = struct.unpack_from("<I", buf, 0)
     if len(buf) < 4 + hlen:
         raise TensorFormatError("truncated checkpoint header")
-    header = json.loads(buf[4 : 4 + hlen].decode())
-    config = NetworkConfig(**header["config"])
-    params = init_network(config, np.random.default_rng(0))
+    try:
+        header = json.loads(buf[4 : 4 + hlen].decode())
+        config = NetworkConfig(**header["config"])
+        names = [str(name) for name in header["tensors"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise TensorFormatError(f"bad checkpoint header: {exc!r}") from None
     arrays = {}
     pos = 4 + hlen
-    for name in header["tensors"]:
-        arr, pos = _read_record(buf, pos)
-        arrays[name] = arr.astype(np.float64)
+    for name in names:
+        arrays[name], pos = _read_record(buf, pos)
     if pos != len(buf):
         raise TensorFormatError("trailing bytes after checkpoint tensors")
-    last = len(params.weights) - 1
-    for i in range(len(params.weights)):
-        params.weights[i] = arrays[f"conv{i}.weight"]
-    params.biases = [arrays["conv0.bias"], arrays[f"conv{last}.bias"]]
-    for i in range(len(params.bn_scale)):
-        params.bn_scale[i] = arrays[f"bn{i}.scale"]
-        params.bn_shift[i] = arrays[f"bn{i}.shift"]
-        # older checkpoints carry a bias on the conv feeding this batch norm;
-        # it only shifts the pre-norm values, so fold it into the running mean
-        params.bn_mean[i] = arrays[f"bn{i}.mean"] - arrays.get(f"conv{i + 1}.bias", 0.0)
-        params.bn_var[i] = arrays[f"bn{i}.var"]
+    params = init_network(config, np.random.default_rng(0))
+    for name, arr in params.state():
+        np.copyto(arr, _stored(arrays, name, arr.shape))
+    # older checkpoints carry a bias on the conv feeding each batch norm; it
+    # only shifts the pre-norm values, so fold it into the running mean
+    for i, mean in enumerate(params.bn_mean):
+        if f"conv{i + 1}.bias" in arrays:
+            mean -= _stored(arrays, f"conv{i + 1}.bias", mean.shape)
     return params

@@ -15,7 +15,7 @@ it reduces to a masked MSE.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .pairs import TrainingPair, combine_all, make_training_pair, split_channels
 __all__ = [
     "TrainConfig",
     "TrainLog",
-    "SliceData",
     "c2c_loss",
     "train",
     "denoise",
@@ -36,6 +35,8 @@ __all__ = [
 ]
 
 MODES = ("C2C", "N2N", "N2CL")
+SENS_EPS = 1e-12  # floor of a group's sensitivity, relative to its peak
+SPLIT_CANDIDATES = 8  # random splits scored by two-group inference
 
 
 @dataclass(frozen=True)
@@ -74,19 +75,6 @@ class TrainLog:
         ]
 
 
-@dataclass
-class SliceData:
-    """One training slice: acquisition plus everything needed per mode."""
-
-    stack: np.ndarray  # (m, H, W) complex
-    sens: np.ndarray
-    psi: np.ndarray
-    mask: np.ndarray
-    clean: np.ndarray = None  # clean combined magnitude (N2CL, validation)
-    stack_b: np.ndarray = None  # second noise realization (N2N)
-    phantom: np.ndarray = None  # underlying complex image, when known
-
-
 def c2c_loss(pred, pair: TrainingPair, normalize=True):
     """Sensitivity-weighted masked L2 loss and its gradient in pred.
 
@@ -122,16 +110,7 @@ def _normalized_pair(pair: TrainingPair):
     unchanged and inference can apply the same rule to its own input.
     """
     s = _input_scale(pair.image_in, pair.mask)
-    return TrainingPair(
-        image_in=pair.image_in / s,
-        image_label=pair.image_label / s,
-        sens_in=pair.sens_in,
-        sens_label=pair.sens_label,
-        mask=pair.mask,
-        coverage_j=pair.coverage_j,
-        coverage_k=pair.coverage_k,
-        n_fallback=pair.n_fallback,
-    )
+    return replace(pair, image_in=pair.image_in / s, image_label=pair.image_label / s)
 
 
 def _epoch_pairs(slices, config, rng):
@@ -219,8 +198,9 @@ def validate(params, val_slices):
     return float(np.mean(vals))
 
 
-def _infer(params, image, mask=None):
-    """Eval-mode forward with the per-image scale normalization undone."""
+def denoise_image(params, image, mask=None):
+    """Denoise a pre-combined magnitude image (DICOM-style input): an
+    eval-mode forward with the per-image scale normalization undone."""
     img = np.asarray(image, dtype=np.float64)
     s = _input_scale(img, mask)
     out, _ = net.forward(params, (img / s)[None], train=False)
@@ -229,22 +209,17 @@ def _infer(params, image, mask=None):
 
 def denoise(params, stack, sens, mask=None):
     """Denoise the full matched-filter combination of an acquisition."""
-    return _infer(params, combine_all(stack, sens), mask)
+    return denoise_image(params, combine_all(stack, sens), mask)
 
 
-def denoise_image(params, image, mask=None):
-    """Denoise a pre-combined magnitude image (DICOM-style input)."""
-    return _infer(params, image, mask)
-
-
-def denoise_two_group_average(params, stack, sens, rng, mask=None, sens_eps=1e-12, n_candidates=8):
+def denoise_two_group_average(params, stack, sens, rng, mask=None):
     """Two-group inference variant: denoise the two half-combinations
     separately, rescale each output to the full-combination sensitivity,
     and average.
 
     Both groups must cover the imaging volume for the sensitivity ratio to
-    be well behaved, so among n_candidates random balanced splits the one
-    with the best worst-case coverage is used.
+    be well behaved, so among SPLIT_CANDIDATES random balanced splits the
+    one with the best worst-case coverage is used.
     """
     stack = np.asarray(stack)
     sens_arr = np.asarray(sens)
@@ -255,7 +230,7 @@ def denoise_two_group_average(params, stack, sens, rng, mask=None, sens_eps=1e-1
     region = np.asarray(mask, dtype=bool) if mask is not None else s_full >= 1e-3 * s_full.max()
 
     split, best = None, -np.inf
-    for _ in range(max(1, n_candidates)):
+    for _ in range(SPLIT_CANDIDATES):
         cand = split_channels(m, rng)
         score = min(
             float(effective_sensitivity(sens_arr, cand.group_j)[region].min()),
@@ -267,7 +242,7 @@ def denoise_two_group_average(params, stack, sens, rng, mask=None, sens_eps=1e-1
     for group in (split.group_j, split.group_k):
         img = magnitude(coil_combine(stack, sens_arr, group))
         s_g = effective_sensitivity(sens_arr, group)
-        floor = sens_eps * s_g.max() if s_g.max() > 0 else 1.0
+        floor = SENS_EPS * s_g.max() if s_g.max() > 0 else 1.0
         ratio = s_full / np.maximum(s_g, floor)
-        outs.append(_infer(params, img, mask) * ratio)
+        outs.append(denoise_image(params, img, mask) * ratio)
     return 0.5 * (outs[0] + outs[1])

@@ -1,8 +1,13 @@
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from coil2coil.cli import cli_main
-from coil2coil.tensorio import read_tensor
+from coil2coil.network import NetworkConfig, init_network
+from coil2coil.tensorio import read_tensor, tensor_bytes, write_tensor
 
 TINY_CONFIG = """
 [phantom]
@@ -183,6 +188,23 @@ class TestErrorsAndGradcheck:
         code = cli_main([
             "eval", "--ref", str(bad), "--mask", str(sim / "mask.c2t"),
             "--images", str(bad), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 2
+
+    def test_checkpoint_missing_tensor_is_data_error(self, tmp_path):
+        params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
+        state = params.flat() + [("bn0.mean", params.bn_mean[0])]  # no bn0.var
+        head = json.dumps(
+            {"config": dataclasses.asdict(params.config), "tensors": [name for name, _ in state]}
+        ).encode()
+        ckpt = tmp_path / "bad.c2k"
+        ckpt.write_bytes(
+            struct.pack("<I", len(head)) + head + b"".join(tensor_bytes(arr) for _, arr in state)
+        )
+        image = tmp_path / "image.c2t"
+        write_tensor(image, np.ones((8, 8)))
+        code = cli_main([
+            "denoise", "--checkpoint", str(ckpt), "--image", str(image), "--out", str(tmp_path / "o"),
         ])
         assert code == 2
 

@@ -164,6 +164,11 @@ class TestSampleNoise:
         a = sample_noise(psi, (8, 8), np.random.default_rng(3))
         b = sample_noise(psi, (8, 8), np.random.default_rng(3))
         assert np.array_equal(a, b)
+        # any shape: one (m, prod(shape)) draw, reshaped
+        c = sample_noise(psi, (2, 8, 8), np.random.default_rng(3))
+        d = sample_noise(psi, (16, 8), np.random.default_rng(3))
+        assert c.shape == (2, 2, 8, 8)
+        assert np.array_equal(c, d.reshape(2, 2, 8, 8))
 
 
 class TestSynthesizeAcquisition:

@@ -121,7 +121,69 @@ class TestPgm:
             write_pgm(tmp_path / "p.pgm", np.zeros((2, 2, 2)))
 
 
+def _write_checkpoint(path, header, arrays):
+    head = json.dumps(header).encode()
+    path.write_bytes(
+        struct.pack("<I", len(head)) + head + b"".join(tensor_bytes(a) for a in arrays.values())
+    )
+
+
+def _drop_tensor(header, arrays):
+    del arrays["bn0.var"]
+    header["tensors"].remove("bn0.var")
+    return header
+
+
+def _reshape_tensor(header, arrays):
+    arrays["conv1.weight"] = arrays["conv1.weight"][:, :, :1]
+    return header
+
+
+def _complex_tensor(header, arrays):
+    arrays["bn0.var"] = arrays["bn0.var"] + 1j
+    return header
+
+
+def _unknown_config_key(header, arrays):
+    header["config"]["width"] = 3
+    return header
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _drop_tensor,
+            _reshape_tensor,
+            _complex_tensor,
+            lambda header, arrays: list(header.items()),
+            lambda header, arrays: {"tensors": header["tensors"]},
+            lambda header, arrays: {"config": header["config"]},
+            _unknown_config_key,
+        ],
+        ids=[
+            "missing-tensor", "wrong-shape", "complex-tensor", "list-header",
+            "no-config", "no-tensors", "unknown-config-key",
+        ],
+    )
+    def test_malformed_checkpoint(self, tmp_path, corrupt):
+        params = init_network(NetworkConfig(depth=4, features=3), np.random.default_rng(9))
+        arrays = dict(params.state())
+        header = {"config": dataclasses.asdict(params.config), "tensors": list(arrays)}
+        path = tmp_path / "bad.c2k"
+        _write_checkpoint(path, corrupt(header, arrays), arrays)
+        with pytest.raises(TensorFormatError):
+            load_checkpoint(path)
+
+    def test_state_is_the_stored_order(self, tmp_path):
+        params = init_network(NetworkConfig(depth=4, features=3), np.random.default_rng(10))
+        path = tmp_path / "ckpt.c2k"
+        save_checkpoint(path, params)
+        (hlen,) = struct.unpack_from("<I", path.read_bytes())
+        header = json.loads(path.read_bytes()[4 : 4 + hlen])
+        assert header["tensors"] == [name for name, _ in params.state()]
+        assert header["config"] == dataclasses.asdict(params.config)
+
     def test_round_trip_preserves_inference(self, tmp_path):
         cfg = NetworkConfig(depth=4, features=3)
         params = init_network(cfg, np.random.default_rng(3))
@@ -165,11 +227,8 @@ class TestCheckpoint:
             arrays[f"conv{i + 1}.bias"] = b
             arrays[f"bn{i}.mean"] = reference.bn_mean[i] + b
             arrays[f"bn{i}.var"] = reference.bn_var[i]
-        head = json.dumps({"config": dataclasses.asdict(cfg), "tensors": list(arrays)}).encode()
         old = tmp_path / "old.c2k"
-        old.write_bytes(
-            struct.pack("<I", len(head)) + head + b"".join(tensor_bytes(a) for a in arrays.values())
-        )
+        _write_checkpoint(old, {"config": dataclasses.asdict(cfg), "tensors": list(arrays)}, arrays)
         loaded = load_checkpoint(old)
         assert [name for name, _ in loaded.flat()] == [name for name, _ in reference.flat()]
         x = np.random.default_rng(8).standard_normal((2, 8, 8))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coil2coil.datasets import SliceData
 from coil2coil.network import NetworkConfig, init_network
 from coil2coil.pairs import TrainingPair, combine_all
 from coil2coil.simulate import (
@@ -14,7 +15,6 @@ from coil2coil.simulate import (
     synthesize_acquisition,
 )
 from coil2coil.train import (
-    SliceData,
     TrainConfig,
     c2c_loss,
     denoise,
