@@ -17,7 +17,7 @@ import numpy as np
 from . import datasets, network, tensorio
 from .config import ConfigError, load_config
 from .metrics import MetricReport, paired_t_test
-from .pairs import empirical_noise_correlation, make_training_pair, split_channels
+from .pairs import empirical_noise_correlations, make_training_pair, split_channels
 from .train import TrainConfig, denoise, denoise_image, train
 
 GRADCHECK_TOL = 1e-4
@@ -105,13 +105,9 @@ def _cmd_pairgen(args):
     tensorio.write_tensor(out / "sens_label.c2t", pair.sens_label)
     tensorio.write_tensor(out / "mask.c2t", pair.mask)
 
-    corr_on = empirical_noise_correlation(
+    corr_on, corr_off = empirical_noise_correlations(
         data.phantom, data.sens, data.psi, split, data.mask, args.realizations,
-        np.random.default_rng(args.seed + 1), whiten=True,
-    )
-    corr_off = empirical_noise_correlation(
-        data.phantom, data.sens, data.psi, split, data.mask, args.realizations,
-        np.random.default_rng(args.seed + 1), whiten=False,
+        np.random.default_rng(args.seed + 1),
     )
     _write_csv(
         out / "diagnostics.csv",

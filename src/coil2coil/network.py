@@ -9,9 +9,13 @@ finite differences.
 Activations are channels-last, (N, H, W, C).  Every convolution -- the
 forward pass and both gradients -- is im2col + GEMM over cache-sized
 blocks of patch rows (_patch_blocks); train mode keeps each conv's input,
-not its patches, and the weight gradient rebuilds them.  Only the
-first and the last conv carry a bias: a bias feeding batch norm is
-cancelled by its mean subtraction, so it would be a dead parameter.
+not its patches, and the weight gradient rebuilds them.  Leaky ReLU and
+batch norm work in place on the fresh conv output (and leaky ReLU's
+backward on the fresh gradient), in the same operation order as their
+out-of-place formulas, so they save full-size temporaries without
+changing a bit.  Only the first and the last conv carry a bias: a bias
+feeding batch norm is cancelled by its mean subtraction, so it would be
+a dead parameter.
 """
 
 from __future__ import annotations
@@ -53,6 +57,13 @@ class NetworkConfig:
             raise ValueError("leaky slope must be in (0, 1)")
         if self.features < 1:
             raise ValueError("features must be >= 1")
+
+    def state_size(self):
+        """Number of values NetworkParams.state() holds, counted without
+        allocating them: kernels, two biases, four batch-norm vectors per
+        middle layer."""
+        f, mid = self.features, self.depth - 2
+        return self.kernel_size**2 * (2 * f + mid * f * f) + f + 1 + 4 * mid * f
 
     @classmethod
     def full_scale(cls):
@@ -152,7 +163,8 @@ def _patch_blocks(x, k):
     zero-padded (rows * W, k*k*C) im2col matrix, C innermost."""
     n, h, wd, c = x.shape
     p = (k - 1) // 2
-    xp = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+    xp = np.zeros((n, h + 2 * p, wd + 2 * p, c))
+    xp[:, p : p + h, p : p + wd] = x
     win = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
     rows = max(1, _BLOCK_ELEMS // (wd * k * k * c))
     for b in range(n):
@@ -172,20 +184,27 @@ def _conv(x, w):
 
 
 def _leaky_forward(x, slope):
-    return np.where(x >= 0, x, slope * x)
+    """In place on x.  With 0 < slope < 1, max(x, slope*x) is x for x >= 0
+    (-0.0 included) and slope*x below, bit for bit."""
+    return np.maximum(x, slope * x, out=x)
 
 
 def _leaky_backward(dy, x, slope):
-    """x may be the activation's input or its output: both have one sign."""
-    return dy * np.where(x >= 0, 1.0, slope)
+    """In place on dy.  x may be the activation's input or its output: both
+    have one sign."""
+    return np.multiply(dy, slope, out=dy, where=~(x >= 0))
 
 
 def _bn_forward_train(x, scale, shift, eps):
-    mean = x.mean(axis=(0, 1, 2))
-    var = x.var(axis=(0, 1, 2))  # biased
+    axes = (0, 1, 2)
+    mean = x.mean(axis=axes)
+    xhat = x - mean
+    var = (xhat * xhat).mean(axis=axes)  # biased; the same sums as x.var
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mean) * inv_std
-    return scale * xhat + shift, (xhat, inv_std, scale), mean, var
+    xhat *= inv_std
+    y = xhat * scale
+    y += shift
+    return y, (xhat, inv_std, scale), mean, var
 
 
 def _bn_backward(dy, cache):
@@ -235,10 +254,14 @@ def forward(params, batch, train=False):
             params.bn_mean[j] = mom * params.bn_mean[j] + (1 - mom) * mean
             params.bn_var[j] = mom * params.bn_var[j] + (1 - mom) * var
         else:
-            inv_std = 1.0 / np.sqrt(params.bn_var[j] + cfg.bn_eps)
-            y = params.bn_scale[j] * ((y - params.bn_mean[j]) * inv_std) + params.bn_shift[j]
+            y -= params.bn_mean[j]
+            y *= 1.0 / np.sqrt(params.bn_var[j] + cfg.bn_eps)
+            y *= params.bn_scale[j]
+            y += params.bn_shift[j]
         x = _leaky_forward(y, cfg.leaky_slope)
-    out = y[..., 0] + params.biases[1] + batch
+    out = y[..., 0]
+    out += params.biases[1]
+    out += batch
     return out, cache
 
 

@@ -40,6 +40,7 @@ __all__ = [
     "make_training_pair",
     "combine_all",
     "empirical_noise_correlation",
+    "empirical_noise_correlations",
 ]
 
 DET_EPS = 1e-9  # relative determinant below which whitening falls back
@@ -174,26 +175,38 @@ def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, wh
     (optionally whitened) input/label magnitudes for each, and returns the
     mean absolute per-voxel correlation between them inside the mask.
     """
+    return empirical_noise_correlations(
+        phantom, sens, psi, split, mask, n_real, rng, whiten=(whiten,)
+    )[0]
+
+
+def empirical_noise_correlations(
+    phantom, sens, psi, split, mask, n_real, rng, whiten=(True, False)
+):
+    """empirical_noise_correlation for each flag in whiten, from one set of
+    draws: the realizations are drawn and combined once, and each label is
+    correlated with the one input.  Each figure equals the single-flag call
+    with the same rng state, bit for bit.
+    """
     phantom = np.asarray(phantom)
     sens = check_stack(sens)
     m, h, w = sens.shape
     mask = check_mask(mask, (h, w))
     gj, gk = list(split.group_j), list(split.group_k)
 
-    if whiten:
+    if any(whiten):
         wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
-        alpha, beta = wmaps.alpha, wmaps.beta
-    else:
-        alpha, beta = np.zeros((h, w)), np.ones((h, w))
+    # per label: the flat (alpha, beta) maps, or None for the raw label
+    coeffs = [(wmaps.alpha.ravel(), wmaps.beta.ravel()) if flag else None for flag in whiten]
 
     clean = sens * phantom[None]
     uj = sens[gj].conj().reshape(len(gj), -1)
     uk = sens[gk].conj().reshape(len(gk), -1)
     cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
     ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
-    a_flat, b_flat = alpha.ravel(), beta.ravel()
 
-    sa, sb, saa, sbb, sab = np.zeros((5, h * w))
+    sa, saa = np.zeros((2, h * w))
+    sb, sbb, sab = np.zeros((3, len(coeffs), h * w))
     done = 0
     while done < n_real:
         r = min(MC_CHUNK, n_real - done)
@@ -201,12 +214,14 @@ def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, wh
         ej = np.einsum("cv,crv->rv", uj, noise[gj])
         ek = np.einsum("cv,crv->rv", uk, noise[gk])
         img_in = np.abs(cj[None] + ej)
-        img_lab = a_flat[None] * img_in + b_flat[None] * np.abs(ck[None] + ek)
+        raw = np.abs(ck[None] + ek)  # 0 * img_in + 1 * raw, bit for bit
         sa += img_in.sum(axis=0)
-        sb += img_lab.sum(axis=0)
         saa += (img_in**2).sum(axis=0)
-        sbb += (img_lab**2).sum(axis=0)
-        sab += (img_in * img_lab).sum(axis=0)
+        for i, ab in enumerate(coeffs):
+            img_lab = raw if ab is None else ab[0] * img_in + ab[1] * raw
+            sb[i] += img_lab.sum(axis=0)
+            sbb[i] += (img_lab**2).sum(axis=0)
+            sab[i] += (img_in * img_lab).sum(axis=0)
         done += r
 
     n = float(n_real)
@@ -215,4 +230,4 @@ def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, wh
     cov = sab / n - (sa / n) * (sb / n)
     with np.errstate(divide="ignore", invalid="ignore"):
         corr = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
-    return float(np.mean(np.abs(corr.reshape(h, w)[mask])))
+    return tuple(float(np.mean(np.abs(c.reshape(h, w)[mask]))) for c in corr)

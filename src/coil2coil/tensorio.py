@@ -113,7 +113,7 @@ def _read_record(buf, offset=0):
             f"truncated payload: need {nbytes} bytes, have {len(buf) - pos}"
         )
     arr = np.frombuffer(buf, dtype=dtype, count=n, offset=pos).reshape(dims)
-    return arr.astype(_CODES[code]).copy(), pos + nbytes
+    return arr.astype(_CODES[code]), pos + nbytes
 
 
 def read_tensor(path):
@@ -185,6 +185,11 @@ def load_checkpoint(path):
         arrays[name], pos = _read_record(buf, pos)
     if pos != len(buf):
         raise TensorFormatError("trailing bytes after checkpoint tensors")
+    held = sum(arr.size for arr in arrays.values())
+    if config.state_size() > held:  # before init_network allocates the network
+        raise TensorFormatError(
+            f"config needs {config.state_size()} values, the records hold {held}"
+        )
     params = init_network(config, np.random.default_rng(0))
     for name, arr in params.state():
         np.copyto(arr, _stored(arrays, name, arr.shape))

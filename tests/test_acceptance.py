@@ -23,7 +23,7 @@ from coil2coil.network import NetworkConfig, gradient_check
 from coil2coil.pairs import (
     ChannelSplit,
     combine_all,
-    empirical_noise_correlation,
+    empirical_noise_correlations,
     make_training_pair,
     whitening_coefficients,
 )
@@ -111,11 +111,8 @@ def whitening_scene():
 class TestPairGeneration:
     def test_whitening_independence(self, report):
         phantom, sens, psi, mask, split = whitening_scene()
-        white = empirical_noise_correlation(
-            phantom, sens, psi, split, mask, 100_000, np.random.default_rng(1), whiten=True
-        )
-        raw = empirical_noise_correlation(
-            phantom, sens, psi, split, mask, 100_000, np.random.default_rng(1), whiten=False
+        white, raw = empirical_noise_correlations(
+            phantom, sens, psi, split, mask, 100_000, np.random.default_rng(1)
         )
         report(
             "whitening independence",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.ndimage import convolve
 
 from coil2coil.metrics import (
     SSIM_K1,
@@ -119,6 +120,30 @@ class TestSsim:
                     / ((mt**2 + mr**2 + c1) * (vt + vr + c2))
                 )
         assert ssim(test, ref, mask) == pytest.approx(np.mean(vals), rel=1e-10)
+
+    def test_matches_2d_window_oracle(self):
+        # the separable blur against the 121-tap 2-D window it factors
+        rng = np.random.default_rng(7)
+        ref = rng.uniform(0.2, 1.0, (40, 33))
+        test = ref + 0.1 * rng.standard_normal(ref.shape)
+        mask = rng.uniform(size=ref.shape) > 0.3
+        dr = float(ref[mask].max())
+        c1, c2 = (SSIM_K1 * dr) ** 2, (SSIM_K2 * dr) ** 2
+
+        r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2
+        g = np.exp(-(r**2) / (2 * SSIM_SIGMA**2))
+        win = np.outer(g, g)
+        win /= win.sum()
+
+        def blur(a):
+            return convolve(a, win, mode="reflect")
+
+        mt, mr = blur(test), blur(ref)
+        vt, vr = blur(test * test) - mt * mt, blur(ref * ref) - mr * mr
+        cov = blur(test * ref) - mt * mr
+        num = (2 * mt * mr + c1) * (2 * cov + c2)
+        den = (mt**2 + mr**2 + c1) * (vt + vr + c2)
+        assert ssim(test, ref, mask) == pytest.approx(np.mean((num / den)[mask]), rel=1e-12)
 
     def test_symmetric_with_fixed_range(self):
         rng = np.random.default_rng(6)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import correlate
@@ -6,7 +8,10 @@ from coil2coil import network
 from coil2coil.network import (
     AdamState,
     NetworkConfig,
+    _bn_forward_train,
     _conv,
+    _leaky_backward,
+    _leaky_forward,
     adam_step,
     backward,
     forward,
@@ -30,6 +35,13 @@ class TestConfig:
     def test_full_scale_preset(self):
         cfg = NetworkConfig.full_scale()
         assert (cfg.depth, cfg.features, cfg.kernel_size) == (18, 64, 5)
+
+    @pytest.mark.parametrize(
+        "cfg", [NetworkConfig(), tiny_config(), NetworkConfig(depth=2, features=1, kernel_size=1)]
+    )
+    def test_state_size_counts_the_stored_values(self, cfg):
+        params = init_network(cfg, np.random.default_rng(0))
+        assert cfg.state_size() == sum(a.size for _, a in params.state())
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -135,11 +147,29 @@ class TestForward:
         )
 
     def test_eval_mode_does_not_mutate(self):
+        # batch norm and leaky ReLU work in place on the conv outputs only:
+        # the caller's float64 batch and every stored array stay as they were
         params = init_network(tiny_config(), np.random.default_rng(10))
-        before = [a.copy() for a in params.bn_mean + params.bn_var]
-        forward(params, np.random.default_rng(11).standard_normal((2, 8, 8)), train=False)
-        after = params.bn_mean + params.bn_var
-        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        batch = np.random.default_rng(11).standard_normal((2, 8, 8))
+        forward(params, batch, train=True)  # nontrivial running statistics
+        before = [a.copy() for _, a in params.state()]
+        kept = batch.copy()
+        forward(params, batch, train=False)
+        assert np.array_equal(batch, kept)
+        assert all(np.array_equal(x, y) for x, (_, y) in zip(before, params.state()))
+
+    def test_eval_forward_peak_memory(self):
+        # one 192x192 eval forward holds at most four activations
+        # (192*192*16 float64) at once
+        params = init_network(NetworkConfig(), np.random.default_rng(17))
+        x = np.random.default_rng(18).standard_normal((1, 192, 192))
+        tracemalloc.start()
+        try:
+            forward(params, x, train=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 192 * 192 * 16 * 8
 
     def test_train_mode_updates_running_stats(self):
         params = init_network(tiny_config(), np.random.default_rng(12))
@@ -150,6 +180,43 @@ class TestForward:
         params = init_network(tiny_config(), np.random.default_rng(14))
         with pytest.raises(ValueError):
             forward(params, np.zeros((2, 2, 4, 4)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestInPlaceKernels:
+    """The in-place activation and batch-norm kernels give the bits of the
+    out-of-place formulas, signed zeros included."""
+
+    @staticmethod
+    def signed_data(shape=(2, 5, 5, 3)):
+        x = np.random.default_rng(19).standard_normal(shape)
+        x.flat[:6] = [0.0, -0.0, -1e-310, 1e-310, -3.0, 3.0]
+        return x
+
+    def test_leaky_forward_matches_where(self):
+        x = self.signed_data()
+        want = np.where(x >= 0, x, 0.1 * x)
+        got = _leaky_forward(x.copy(), 0.1)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_leaky_backward_matches_where(self):
+        x = self.signed_data()
+        dy = np.random.default_rng(20).standard_normal(x.shape)
+        dy.flat[6:8] = [-0.0, 0.0]
+        want = dy * np.where(x >= 0, 1.0, 0.1)
+        got = _leaky_backward(dy.copy(), x, 0.1)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("shape", [(2, 8, 8, 3), (4, 48, 40, 16)])
+    def test_bn_train_statistics_match_mean_and_var(self, shape):
+        x = 3.0 * np.random.default_rng(21).standard_normal(shape) + 1.0
+        c = shape[-1]
+        _, _, mean, var = _bn_forward_train(x, np.ones(c), np.zeros(c), 1e-5)
+        assert np.array_equal(_bits(mean), _bits(x.mean(axis=(0, 1, 2))))
+        assert np.array_equal(_bits(var), _bits(x.var(axis=(0, 1, 2))))
 
 
 class TestBackward:

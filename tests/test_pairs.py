@@ -6,6 +6,7 @@ from coil2coil.pairs import (
     ChannelSplit,
     combine_all,
     empirical_noise_correlation,
+    empirical_noise_correlations,
     make_training_pair,
     split_channels,
     whitening_coefficients,
@@ -193,13 +194,9 @@ class TestEmpiricalNoiseCorrelation:
         # strongly correlated channels: the raw input/label correlation is
         # large and whitening removes most of it
         scene = SyntheticScene(grid=16, m=4, sigma=0.3, seed=5)
-        raw = empirical_noise_correlation(
+        white, raw = empirical_noise_correlations(
             scene.phantom, scene.sens, scene.psi, scene.split, scene.mask,
-            20_000, np.random.default_rng(6), whiten=False,
-        )
-        white = empirical_noise_correlation(
-            scene.phantom, scene.sens, scene.psi, scene.split, scene.mask,
-            20_000, np.random.default_rng(6), whiten=True,
+            20_000, np.random.default_rng(6),
         )
         assert white < 0.05
         assert raw > 2 * white
@@ -212,11 +209,20 @@ class TestEmpiricalNoiseCorrelation:
         mask = np.ones((8, 8), bool)
         psi = (0.5 * np.eye(m) + 0.5 * np.ones((m, m))).astype(complex) * 0.04
         split = ChannelSplit((0, 1), (2, 3))
-        white = empirical_noise_correlation(
-            phantom, sens, psi, split, mask, 50_000, np.random.default_rng(7), whiten=True
-        )
-        raw = empirical_noise_correlation(
-            phantom, sens, psi, split, mask, 50_000, np.random.default_rng(7), whiten=False
+        white, raw = empirical_noise_correlations(
+            phantom, sens, psi, split, mask, 50_000, np.random.default_rng(7)
         )
         assert white < 0.02
         assert raw > 0.3
+
+    def test_one_pass_equals_separate_calls(self):
+        # one set of draws for both labels gives each call's figure bit for
+        # bit; 1,200 realizations span several MC_CHUNK chunks
+        scene = SyntheticScene(grid=16, m=5, sigma=0.3, seed=5)
+        args = (scene.phantom, scene.sens, scene.psi, scene.split, scene.mask, 1_200)
+        both = empirical_noise_correlations(*args, np.random.default_rng(3))
+        each = [
+            empirical_noise_correlation(*args, np.random.default_rng(3), whiten=flag)
+            for flag in (True, False)
+        ]
+        assert [c.hex() for c in both] == [c.hex() for c in each]

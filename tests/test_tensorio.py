@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,21 @@ class TestCheckpoint:
         _write_checkpoint(path, corrupt(header, arrays), arrays)
         with pytest.raises(TensorFormatError):
             load_checkpoint(path)
+
+    def test_config_beyond_the_records_is_rejected_before_allocating(self, tmp_path):
+        # a short file whose header asks for a large network (about 9 M
+        # float64 values) must not make the loader allocate that network
+        path = tmp_path / "big.c2k"
+        _write_checkpoint(path, {"config": {"depth": 6, "features": 500}, "tensors": []}, {})
+        assert path.stat().st_size < 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFormatError, match="needs"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_state_is_the_stored_order(self, tmp_path):
         params = init_network(NetworkConfig(depth=4, features=3), np.random.default_rng(10))
