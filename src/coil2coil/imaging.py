@@ -24,6 +24,8 @@ __all__ = [
     "check_covariance",
 ]
 
+COV_TOL = 1e-10  # Hermitian and PSD slack of a channel covariance
+
 
 def check_stack(stack, sens=None):
     """Validate a (m, H, W) channel stack and, optionally, a matching map."""
@@ -48,16 +50,16 @@ def check_mask(mask, shape):
     return mask
 
 
-def check_covariance(psi, m, tol=1e-10):
-    """Validate an (m, m) Hermitian PSD channel covariance."""
+def check_covariance(psi, m):
+    """Validate an (m, m) Hermitian PSD channel covariance; returns it as complex128."""
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (m, m):
         raise ValueError(f"covariance must be ({m}, {m}), got {psi.shape}")
-    if not np.allclose(psi, psi.conj().T, atol=tol):
+    if not np.allclose(psi, psi.conj().T, atol=COV_TOL):
         raise ValueError("covariance is not Hermitian")
     evals = np.linalg.eigvalsh(psi)
     scale = max(float(evals[-1]), 1.0)
-    if evals[0] < -tol * scale:
+    if evals[0] < -COV_TOL * scale:
         raise ValueError(f"covariance is not PSD (min eigenvalue {evals[0]:g})")
     return psi
 
@@ -127,7 +129,10 @@ def propagate_noise_stats(sens, psi, group_j, group_k):
 
         var_j = Re( sum_{a,b in J} conj(s_a) psi_ab s_b )
 
-    and likewise for K, with the covariance summed over J x K.
+    and likewise for K, with the covariance summed over J x K.  On the
+    (m, H*W) sensitivities S, one GEMM per group G gives P_G = psi[:, G] @ S[G];
+    var_j, var_k and cov_jk are the channel sums of Re(conj(S) * P) over rows
+    J of P_J, rows K of P_K and rows J of P_K.
     """
     sens = check_stack(sens)
     m = sens.shape[0]
@@ -137,13 +142,16 @@ def propagate_noise_stats(sens, psi, group_j, group_k):
         raise ValueError(f"groups overlap: {sorted(set(gj) & set(gk))}")
     psi = check_covariance(psi, m)
 
-    def quad(ga, gb):
-        block = psi[np.ix_(ga, gb)]
-        return np.einsum("ahw,ab,bhw->hw", sens[ga].conj(), block, sens[gb]).real
+    s = sens.reshape(m, -1)
+    p_j = psi[:, gj] @ s[gj]
+    p_k = psi[:, gk] @ s[gk]
 
-    var_j = np.maximum(quad(gj, gj), 0.0)
-    var_k = np.maximum(quad(gk, gk), 0.0)
-    cov_jk = quad(gj, gk)
+    def re_dot(rows, p):  # Re sum_{a in rows} conj(s_a) p_a, per voxel
+        return np.einsum("av,av->v", s[rows].conj(), p[rows]).real.reshape(sens.shape[1:])
+
+    var_j = np.maximum(re_dot(gj, p_j), 0.0)
+    var_k = np.maximum(re_dot(gk, p_k), 0.0)
+    cov_jk = re_dot(gj, p_k)
     # clip roundoff past the Cauchy-Schwarz bound
     bound = np.sqrt(var_j * var_k)
     cov_jk = np.clip(cov_jk, -bound, bound)

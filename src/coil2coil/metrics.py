@@ -39,13 +39,6 @@ def psnr(test, ref, mask):
     return 10.0 * math.log10(peak**2 / mse)
 
 
-def _gaussian_window(size=SSIM_WINDOW, sigma=SSIM_SIGMA):
-    """Normalized 1-D Gaussian; the 2-D window is its outer product."""
-    r = np.arange(size) - (size - 1) / 2
-    g = np.exp(-(r**2) / (2 * sigma**2))
-    return g / g.sum()
-
-
 def _blur(img, g):
     """Separable Gaussian blur: one 1-D pass per axis, reflect borders."""
     return convolve1d(convolve1d(img, g, axis=0, mode="reflect"), g, axis=1, mode="reflect")
@@ -77,7 +70,9 @@ def ssim(test, ref, mask, dynamic_range=None):
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
 
-    g = _gaussian_window()
+    r = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2
+    g = np.exp(-(r**2) / (2 * SSIM_SIGMA**2))
+    g /= g.sum()  # the normalized 1-D Gaussian; the 2-D window is its outer product
     mu_t, var_t = _local_stats(test, g)
     mu_r, var_r = _local_stats(ref, g)
     cov = _blur(test * ref, g) - mu_t * mu_r
@@ -116,9 +111,9 @@ class MetricReport:
     psnr_values: list = field(default_factory=list)
     ssim_values: list = field(default_factory=list)
 
-    def add(self, test, ref, mask, dynamic_range=None):
+    def add(self, test, ref, mask):
         self.psnr_values.append(psnr(test, ref, mask))
-        self.ssim_values.append(ssim(test, ref, mask, dynamic_range))
+        self.ssim_values.append(ssim(test, ref, mask))
 
     @staticmethod
     def _agg(values):

@@ -21,7 +21,9 @@ a dead parameter.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,6 +40,9 @@ __all__ = [
     "gradient_check",
 ]
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+GRADCHECK_STEP, GRADCHECK_BATCH = 1e-5, (2, 8, 8)  # gradient_check's difference step, (N, H, W)
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -49,6 +54,11 @@ class NetworkConfig:
     bn_eps: float = 1e-5
 
     def __post_init__(self):
+        for f in fields(self):  # checkpoint headers set fields too: types before ranges
+            v = getattr(self, f.name)
+            kind = Integral if f.type == "int" else Real
+            if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v):
+                raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
@@ -109,9 +119,6 @@ class AdamState:
     m: dict
     v: dict
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params):
@@ -304,7 +311,7 @@ def adam_step(params, grads, state, lr):
     """Bias-corrected Adam update, in place on params; returns (params, state)."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, arr in params.flat():
         g = grads[name]
         if g.shape != arr.shape:
@@ -313,7 +320,7 @@ def adam_step(params, grads, state, lr):
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         m_hat = state.m[name] / (1 - b1**t)
         v_hat = state.v[name] / (1 - b2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        arr -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -324,7 +331,7 @@ def lr_schedule(epoch, base_lr=1e-4, decay=0.87):
     return base_lr * decay**epoch
 
 
-def gradient_check(config=None, rng=None, h=1e-5, batch_shape=(2, 8, 8)):
+def gradient_check(config=None, rng=None):
     """Compare backward() against central finite differences.
 
     Uses a masked quadratic loss on random data and perturbs every
@@ -339,9 +346,9 @@ def gradient_check(config=None, rng=None, h=1e-5, batch_shape=(2, 8, 8)):
     for i in range(len(params.bn_scale)):
         params.bn_scale[i] = 1.0 + 0.1 * rng.standard_normal(params.bn_scale[i].shape)
         params.bn_shift[i] = 0.1 * rng.standard_normal(params.bn_shift[i].shape)
-    batch = rng.standard_normal(batch_shape)
-    target = rng.standard_normal(batch_shape)
-    weight = rng.uniform(0.5, 1.5, size=batch_shape)
+    batch = rng.standard_normal(GRADCHECK_BATCH)
+    target = rng.standard_normal(GRADCHECK_BATCH)
+    weight = rng.uniform(0.5, 1.5, size=GRADCHECK_BATCH)
 
     def loss_of(p):
         out, _ = forward(p.copy(), batch, train=True)
@@ -357,12 +364,12 @@ def gradient_check(config=None, rng=None, h=1e-5, batch_shape=(2, 8, 8)):
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + h
+            arr[idx] = orig + GRADCHECK_STEP
             lp = loss_of(params)
-            arr[idx] = orig - h
+            arr[idx] = orig - GRADCHECK_STEP
             lm = loss_of(params)
             arr[idx] = orig
-            num = (lp - lm) / (2 * h)
+            num = (lp - lm) / (2 * GRADCHECK_STEP)
             denom = max(abs(num), abs(g[idx]), 1e-8)
             worst = max(worst, abs(num - g[idx]) / denom)
     return worst

@@ -16,6 +16,7 @@ var(label') = v_j.  Sensitivity normalization is carried as the pair's
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,16 +114,16 @@ def whitening_coefficients(stats: VoxelStats):
     good = (det > DET_EPS * vj * vk) & (vk > 0)
     root = np.sqrt(np.where(good, det, 1.0))
     alpha = np.where(good, -c / root, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta_fb = np.where(vk > 0, np.sqrt(np.where(vk > 0, vj / np.maximum(vk, 1e-300), 1.0)), 1.0)
+    with np.errstate(invalid="ignore"):
+        beta_fb = np.sqrt(np.where(vk > 0, vj / np.maximum(vk, 1e-300), 1.0))
     beta = np.where(good, vj / root, beta_fb)
     return WhiteningMaps(alpha=alpha, beta=beta, n_fallback=int(np.count_nonzero(~good)))
 
 
 def combine_all(stack, sens):
     """Full matched-filter combination magnitude |sum_i conj(s_i) y_i|."""
-    stack = check_stack(stack, sens)
-    return magnitude(coil_combine(stack, sens, range(stack.shape[0])))
+    stack = np.asarray(stack)  # coil_combine validates; a 0-d stack passes no channels
+    return magnitude(coil_combine(stack, sens, range(stack.shape[0] if stack.ndim else 0)))
 
 
 def make_training_pair(stack, sens, psi, split, mask, whiten=True):
@@ -156,8 +157,6 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
         s_label = s_k
 
     if np.any(s_label[mask] <= 0):
-        import warnings
-
         warnings.warn("degenerate pair: label sensitivity <= 0 inside mask", stacklevel=2)
 
     return TrainingPair(

@@ -95,7 +95,6 @@ class NoiseSpec:
     sigma: float = 1.0
     rho_min: float = 0.0
     rho_max: float = 0.2
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.rho_min <= self.rho_max < 1.0):
@@ -168,29 +167,22 @@ def make_noise_covariance(sens, phantom, mask, spec, rng):
     return psi.astype(np.complex128)
 
 
-def _noise_factor(psi):
-    """Lower-triangular-ish factor L with L L^H = psi, tolerant of PSD-singular input."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    try:
-        return np.linalg.cholesky(psi + 0j)
-    except np.linalg.LinAlgError:
-        evals, vecs = np.linalg.eigh(psi)
-        scale = max(float(evals[-1]), 1.0)
-        if evals[0] < -1e-10 * scale:
-            raise ValueError(f"covariance is not PSD (min eigenvalue {evals[0]:g})")
-        return vecs * np.sqrt(np.maximum(evals, 0.0))
-
-
 def sample_noise(psi, shape, rng):
     """Draw correlated complex noise of shape (m, *shape).
 
     Real and imaginary axes are sampled independently as L z with z i.i.d.
-    standard normal, so each axis has covariance psi across channels.
+    standard normal and L L^H = psi, so each axis has covariance psi across
+    channels; both are mixed by one complex GEMM, L (z_re + i z_im).
     """
     m = np.asarray(psi).shape[0]
-    L = _noise_factor(check_covariance(psi, m))
+    psi = check_covariance(psi, m)
+    try:
+        L = np.linalg.cholesky(psi)
+    except np.linalg.LinAlgError:  # singular psi: factor it by its eigendecomposition
+        evals, vecs = np.linalg.eigh(psi)
+        L = vecs * np.sqrt(np.maximum(evals, 0.0))
     z = rng.standard_normal((2, m, math.prod(shape)))  # real draws, then imaginary
-    return (L @ z[0] + 1j * (L @ z[1])).reshape(m, *shape)
+    return (L @ (z[0] + 1j * z[1])).reshape(m, *shape)
 
 
 def synthesize_acquisition(phantom, sens, psi, rng):

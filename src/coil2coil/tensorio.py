@@ -72,10 +72,7 @@ def tensor_bytes(arr):
         raise ValueError("tensor too large for u32 dims")
     header = MAGIC + struct.pack("<HBB", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    payload = np.ascontiguousarray(arr)
-    if payload.dtype.byteorder == ">":
-        payload = payload.byteswap().view(payload.dtype.newbyteorder("<"))
-    return header + payload.tobytes()
+    return header + np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
 
 
 def write_tensor(path, arr):
@@ -177,7 +174,7 @@ def load_checkpoint(path):
         header = json.loads(buf[4 : 4 + hlen].decode())
         config = NetworkConfig(**header["config"])
         names = [str(name) for name in header["tensors"]]
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:  # OverflowError: an int past float range
         raise TensorFormatError(f"bad checkpoint header: {exc!r}") from None
     arrays = {}
     pos = 4 + hlen

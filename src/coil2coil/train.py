@@ -22,7 +22,7 @@ import numpy as np
 from . import network as net
 from .imaging import coil_combine, effective_sensitivity, magnitude
 from .metrics import psnr
-from .pairs import TrainingPair, combine_all, make_training_pair, split_channels
+from .pairs import SENS_FLOOR, TrainingPair, combine_all, make_training_pair, split_channels
 
 __all__ = [
     "TrainConfig",
@@ -227,7 +227,7 @@ def denoise_two_group_average(params, stack, sens, rng, mask=None):
     if m < 2:
         raise ValueError("two-group inference needs at least 2 channels")
     s_full = effective_sensitivity(sens_arr, range(m))
-    region = np.asarray(mask, dtype=bool) if mask is not None else s_full >= 1e-3 * s_full.max()
+    region = np.asarray(mask, dtype=bool) if mask is not None else s_full >= SENS_FLOOR * s_full.max()
 
     split, best = None, -np.inf
     for _ in range(SPLIT_CANDIDATES):

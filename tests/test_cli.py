@@ -191,22 +191,29 @@ class TestErrorsAndGradcheck:
         ])
         assert code == 2
 
-    def test_checkpoint_missing_tensor_is_data_error(self, tmp_path):
-        params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
-        state = params.flat() + [("bn0.mean", params.bn_mean[0])]  # no bn0.var
-        head = json.dumps(
-            {"config": dataclasses.asdict(params.config), "tensors": [name for name, _ in state]}
-        ).encode()
+    @staticmethod
+    def _denoise_with_checkpoint(tmp_path, config, state):
+        head = json.dumps({"config": config, "tensors": [name for name, _ in state]}).encode()
         ckpt = tmp_path / "bad.c2k"
         ckpt.write_bytes(
             struct.pack("<I", len(head)) + head + b"".join(tensor_bytes(arr) for _, arr in state)
         )
         image = tmp_path / "image.c2t"
         write_tensor(image, np.ones((8, 8)))
-        code = cli_main([
+        return cli_main([
             "denoise", "--checkpoint", str(ckpt), "--image", str(image), "--out", str(tmp_path / "o"),
         ])
-        assert code == 2
+
+    def test_checkpoint_missing_tensor_is_data_error(self, tmp_path):
+        params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
+        state = params.flat() + [("bn0.mean", params.bn_mean[0])]  # no bn0.var
+        config = dataclasses.asdict(params.config)
+        assert self._denoise_with_checkpoint(tmp_path, config, state) == 2
+
+    def test_checkpoint_nan_features_is_data_error(self, tmp_path):
+        params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
+        config = {**dataclasses.asdict(params.config), "features": float("nan")}
+        assert self._denoise_with_checkpoint(tmp_path, config, params.state()) == 2
 
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck"]) == 0

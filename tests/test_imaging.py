@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coil2coil.imaging import (
     VoxelStats,
@@ -190,6 +192,50 @@ class TestPropagateNoiseStats:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError, match="PSD"):
             propagate_noise_stats(sens, bad, [0], [1])
+
+
+def einsum_noise_stats(sens, psi, gj, gk):
+    """(var_j, var_k, cov_jk) as three 3-operand einsums: the form
+    propagate_noise_stats had before its GEMMs, kept here as their oracle."""
+
+    def quad(ga, gb):
+        return np.einsum("ahw,ab,bhw->hw", sens[ga].conj(), psi[np.ix_(ga, gb)], sens[gb]).real
+
+    return quad(gj, gj), quad(gk, gk), quad(gj, gk)
+
+
+@st.composite
+def noise_problems(draw):
+    """m in [2, 16]; disjoint groups, not necessarily balanced or covering;
+    a random PSD psi of any rank from 0 to m."""
+    m = draw(st.integers(2, 16))
+    owner = draw(
+        st.lists(st.sampled_from("JK-"), min_size=m, max_size=m).filter(
+            lambda o: "J" in o and "K" in o
+        )
+    )
+    rank = draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sens = rng.standard_normal((m, 3, 5)) + 1j * rng.standard_normal((m, 3, 5))
+    a = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+    gj = [i for i, o in enumerate(owner) if o == "J"]
+    gk = [i for i, o in enumerate(owner) if o == "K"]
+    return sens, a @ a.conj().T, gj, gk
+
+
+@settings(max_examples=200, deadline=None)
+@given(noise_problems())
+def test_propagate_noise_stats_matches_einsum_oracle(problem):
+    # Rounding error scales with the terms summed, so the tolerance is
+    # relative to sqrt(var_j * var_k) at the Cauchy-Schwarz bound: the
+    # variances psi allows each group, ||psi||_2 * sum_{a in G} |s_a|^2.
+    sens, psi, gj, gk = problem
+    stats = propagate_noise_stats(sens, psi, gj, gk)
+    top = np.linalg.norm(psi, 2)
+    scale = top * np.sqrt(effective_sensitivity(sens, gj) * effective_sensitivity(sens, gk))
+    got = (stats.var_j, stats.var_k, stats.cov_jk)
+    for g, want in zip(got, einsum_noise_stats(sens, psi, gj, gk)):
+        assert np.all(np.abs(g - want) <= 1e-12 * scale)
 
 
 class TestVoxelStats:

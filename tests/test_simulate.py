@@ -170,6 +170,24 @@ class TestSampleNoise:
         assert c.shape == (2, 2, 8, 8)
         assert np.array_equal(c, d.reshape(2, 2, 8, 8))
 
+    @pytest.mark.parametrize("singular", [False, True], ids=["cholesky", "eigh"])
+    def test_one_complex_gemm_equals_two_real_mixes(self, singular):
+        if singular:  # rank 1: Cholesky fails, so the eigendecomposition factors it
+            psi = np.ones((5, 5), complex)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(psi)
+            evals, vecs = np.linalg.eigh(psi)
+            L = vecs * np.sqrt(np.maximum(evals, 0.0))
+        else:
+            rng = np.random.default_rng(10)
+            a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+            psi = a @ a.conj().T
+            L = np.linalg.cholesky(psi)
+        out = sample_noise(psi, (6, 7), np.random.default_rng(11))
+        z = np.random.default_rng(11).standard_normal((2, 5, 42))
+        want = (L @ z[0] + 1j * (L @ z[1])).reshape(5, 6, 7)
+        assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestSynthesizeAcquisition:
     def setup_method(self):

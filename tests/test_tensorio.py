@@ -145,9 +145,12 @@ def _complex_tensor(header, arrays):
     return header
 
 
-def _unknown_config_key(header, arrays):
-    header["config"]["width"] = 3
-    return header
+def _set_config(key, value):
+    def corrupt(header, arrays):
+        header["config"][key] = value
+        return header
+
+    return corrupt
 
 
 class TestCheckpoint:
@@ -160,11 +163,16 @@ class TestCheckpoint:
             lambda header, arrays: list(header.items()),
             lambda header, arrays: {"tensors": header["tensors"]},
             lambda header, arrays: {"config": header["config"]},
-            _unknown_config_key,
+            _set_config("width", 3),
+            _set_config("depth", 3.0),
+            _set_config("kernel_size", 3.0),
+            _set_config("features", float("nan")),
+            _set_config("bn_eps", 10**400),
         ],
         ids=[
             "missing-tensor", "wrong-shape", "complex-tensor", "list-header",
             "no-config", "no-tensors", "unknown-config-key",
+            "float-depth", "float-kernel-size", "nan-features", "eps-past-float-range",
         ],
     )
     def test_malformed_checkpoint(self, tmp_path, corrupt):
