@@ -7,6 +7,7 @@ with the offending line number.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import asdict
 
 from .network import NetworkConfig
@@ -59,7 +60,10 @@ def _convert(raw, default, where):
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):  # float() parses nan and inf; no setting takes them
+                raise ValueError(raw)
+            return value
     except ValueError:
         raise ConfigError(f"{where}: expected {type(default).__name__}, got {raw!r}") from None
     return raw.strip()

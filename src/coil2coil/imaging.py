@@ -5,6 +5,10 @@ a sensitivity map is complex with the same shape, a channel noise
 covariance is an (m, m) Hermitian PSD matrix (covariance per real/imaginary
 axis), and a mask is boolean (H, W).  All voxelwise arithmetic is
 elementwise (Hadamard).
+
+No check here scans an array for NaN or inf: the tensor and config readers
+refuse them where they enter, and simulator arrays are finite because their
+covariance passed check_covariance.
 """
 
 from __future__ import annotations
@@ -28,16 +32,12 @@ COV_TOL = 1e-10  # Hermitian and PSD slack of a channel covariance
 
 
 def check_stack(stack, sens=None):
-    """Validate a (m, H, W) channel stack and, optionally, a matching map."""
+    """Validate the shape of a (m, H, W) channel stack and, optionally, a matching map."""
     stack = np.asarray(stack)
     if stack.ndim != 3 or stack.shape[0] < 1:
         raise ValueError(f"channel stack must be (m, H, W) with m >= 1, got {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("channel stack contains non-finite values")
-    if sens is not None:
-        sens = np.asarray(sens)
-        if sens.shape != stack.shape:
-            raise ValueError(f"sensitivity shape {sens.shape} != stack shape {stack.shape}")
+    if sens is not None and np.shape(sens) != stack.shape:
+        raise ValueError(f"sensitivity shape {np.shape(sens)} != stack shape {stack.shape}")
     return stack
 
 
@@ -53,8 +53,8 @@ def check_mask(mask, shape):
 def check_covariance(psi, m):
     """Validate an (m, m) Hermitian PSD channel covariance; returns it as complex128."""
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (m, m):
-        raise ValueError(f"covariance must be ({m}, {m}), got {psi.shape}")
+    if m < 1 or psi.shape != (m, m):
+        raise ValueError(f"covariance must be ({m}, {m}) with m >= 1, got {psi.shape}")
     if not np.allclose(psi, psi.conj().T, atol=COV_TOL):
         raise ValueError("covariance is not Hermitian")
     evals = np.linalg.eigvalsh(psi)
@@ -102,9 +102,8 @@ def coil_combine(stack, sens, group):
     Returns a complex (H, W) image.
     """
     stack = check_stack(stack, sens)
-    sens = np.asarray(sens)
     group = _check_group(group, stack.shape[0])
-    return np.einsum("chw,chw->hw", sens[group].conj(), stack[group])
+    return np.einsum("chw,chw->hw", np.asarray(sens)[group].conj(), stack[group])
 
 
 def magnitude(img):

@@ -114,16 +114,15 @@ def whitening_coefficients(stats: VoxelStats):
     good = (det > DET_EPS * vj * vk) & (vk > 0)
     root = np.sqrt(np.where(good, det, 1.0))
     alpha = np.where(good, -c / root, 0.0)
-    with np.errstate(invalid="ignore"):
-        beta_fb = np.sqrt(np.where(vk > 0, vj / np.maximum(vk, 1e-300), 1.0))
+    beta_fb = np.sqrt(np.where(vk > 0, vj / np.maximum(vk, 1e-300), 1.0))
     beta = np.where(good, vj / root, beta_fb)
     return WhiteningMaps(alpha=alpha, beta=beta, n_fallback=int(np.count_nonzero(~good)))
 
 
 def combine_all(stack, sens):
     """Full matched-filter combination magnitude |sum_i conj(s_i) y_i|."""
-    stack = np.asarray(stack)  # coil_combine validates; a 0-d stack passes no channels
-    return magnitude(coil_combine(stack, sens, range(stack.shape[0] if stack.ndim else 0)))
+    stack = check_stack(stack, sens)
+    return magnitude(np.einsum("chw,chw->hw", np.conj(sens), stack))
 
 
 def make_training_pair(stack, sens, psi, split, mask, whiten=True):
@@ -134,13 +133,11 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
     and its sensitivity map is combined the same way.  With whiten off the
     raw second-group combination is used (ablation).
     """
-    stack = check_stack(stack, sens)
-    mask = check_mask(mask, stack.shape[1:])
     gj, gk = split.group_j, split.group_k
-    if len(gj) + len(gk) != stack.shape[0]:
+    img_in = magnitude(coil_combine(stack, sens, gj))  # validates stack and sens
+    if len(gj) + len(gk) != len(stack):
         raise ValueError("split does not match channel count")
-
-    img_in = magnitude(coil_combine(stack, sens, gj))
+    mask = check_mask(mask, img_in.shape)
     img_lab = magnitude(coil_combine(stack, sens, gk))
     s_j = effective_sensitivity(sens, gj)
     s_k = effective_sensitivity(sens, gk)
@@ -187,29 +184,25 @@ def empirical_noise_correlations(
     correlated with the one input.  Each figure equals the single-flag call
     with the same rng state, bit for bit.
     """
-    phantom = np.asarray(phantom)
-    sens = check_stack(sens)
-    m, h, w = sens.shape
-    mask = check_mask(mask, (h, w))
+    sens = np.asarray(sens)
     gj, gk = list(split.group_j), list(split.group_k)
-
-    if any(whiten):
-        wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
+    wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))  # validates sens, psi
+    mask = check_mask(mask, sens.shape[1:])
     # per label: the flat (alpha, beta) maps, or None for the raw label
     coeffs = [(wmaps.alpha.ravel(), wmaps.beta.ravel()) if flag else None for flag in whiten]
 
-    clean = sens * phantom[None]
+    clean = sens * np.asarray(phantom)
     uj = sens[gj].conj().reshape(len(gj), -1)
     uk = sens[gk].conj().reshape(len(gk), -1)
     cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
     ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
 
-    sa, saa = np.zeros((2, h * w))
-    sb, sbb, sab = np.zeros((3, len(coeffs), h * w))
+    sa, saa = np.zeros((2, mask.size))
+    sb, sbb, sab = np.zeros((3, len(coeffs), mask.size))
     done = 0
     while done < n_real:
         r = min(MC_CHUNK, n_real - done)
-        noise = sample_noise(psi, (r, h * w), rng)
+        noise = sample_noise(psi, (r, mask.size), rng)
         ej = np.einsum("cv,crv->rv", uj, noise[gj])
         ek = np.einsum("cv,crv->rv", uk, noise[gk])
         img_in = np.abs(cj[None] + ej)
@@ -227,6 +220,5 @@ def empirical_noise_correlations(
     va = saa / n - (sa / n) ** 2
     vb = sbb / n - (sb / n) ** 2
     cov = sab / n - (sa / n) * (sb / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
-    return tuple(float(np.mean(np.abs(c.reshape(h, w)[mask]))) for c in corr)
+    corr = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
+    return tuple(float(np.mean(np.abs(c[mask.ravel()]))) for c in corr)

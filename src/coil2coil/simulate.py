@@ -99,8 +99,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0.0 <= self.rho_min <= self.rho_max < 1.0):
             raise ValueError(f"need 0 <= rho_min <= rho_max < 1, got [{self.rho_min}, {self.rho_max}]")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def _grid(h, w):
@@ -174,7 +174,7 @@ def sample_noise(psi, shape, rng):
     standard normal and L L^H = psi, so each axis has covariance psi across
     channels; both are mixed by one complex GEMM, L (z_re + i z_im).
     """
-    m = np.asarray(psi).shape[0]
+    m = math.isqrt(np.size(psi))  # a non-square psi fails the (m, m) shape check
     psi = check_covariance(psi, m)
     try:
         L = np.linalg.cholesky(psi)

@@ -20,7 +20,9 @@ Checkpoint (.c2k) layout:
                       "tensors": the record names, in order}
     records one container record per name, in NetworkParams.state() order
 
-Malformed tensor files and checkpoints raise TensorFormatError.
+Malformed tensor files and checkpoints raise TensorFormatError, and so does
+a float32/complex64 payload holding NaN or +-inf, on write as on read: every
+array these files hand the program is finite, and nothing downstream rescans.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ def _canonical(arr):
     raise TypeError(f"unsupported dtype {arr.dtype}")
 
 
+def _check_finite(code, payload):
+    """Refuse a float32/complex64 payload with NaN or inf: one scan of its float32 view."""
+    if code != 2 and not np.isfinite(np.frombuffer(payload, "<f4")).all():
+        raise TensorFormatError("payload holds NaN or inf")
+    return payload
+
+
 def tensor_bytes(arr):
     """Serialize an array to one container record."""
     arr, code = _canonical(arr)
@@ -72,7 +81,8 @@ def tensor_bytes(arr):
         raise ValueError("tensor too large for u32 dims")
     header = MAGIC + struct.pack("<HBB", VERSION, code, arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
+    payload = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
+    return header + _check_finite(code, payload)
 
 
 def write_tensor(path, arr):
@@ -109,6 +119,7 @@ def _read_record(buf, offset=0):
         raise TensorFormatError(
             f"truncated payload: need {nbytes} bytes, have {len(buf) - pos}"
         )
+    _check_finite(code, memoryview(buf)[pos : pos + nbytes])
     arr = np.frombuffer(buf, dtype=dtype, count=n, offset=pos).reshape(dims)
     return arr.astype(_CODES[code]), pos + nbytes
 

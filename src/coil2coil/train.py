@@ -23,6 +23,7 @@ from . import network as net
 from .imaging import coil_combine, effective_sensitivity, magnitude
 from .metrics import psnr
 from .pairs import SENS_FLOOR, TrainingPair, combine_all, make_training_pair, split_channels
+from .simulate import make_mask
 
 __all__ = [
     "TrainConfig",
@@ -96,10 +97,14 @@ def c2c_loss(pred, pair: TrainingPair, normalize=True):
 
 
 def _input_scale(image, mask=None):
-    """Intensity scale of a network input: std over masked voxels (the
-    whole image when mask is None)."""
+    """Intensity scale of a network input: std over masked voxels.  Without
+    a mask, make_mask derives one from the image; an all-zero image has scale 1."""
     img = np.asarray(image)
-    s = float((img[np.asarray(mask, dtype=bool)] if mask is not None else img).std())
+    if mask is None:
+        if not img.any():
+            return 1.0
+        mask = make_mask(img)
+    s = float(img[np.asarray(mask, dtype=bool)].std())
     return s if s > 0 else 1.0
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from coil2coil.cli import cli_main
 from coil2coil.network import NetworkConfig, init_network
-from coil2coil.tensorio import read_tensor, tensor_bytes, write_tensor
+from coil2coil.tensorio import read_tensor, save_checkpoint, tensor_bytes, write_tensor
 
 TINY_CONFIG = """
 [phantom]
@@ -214,6 +214,28 @@ class TestErrorsAndGradcheck:
         params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
         config = {**dataclasses.asdict(params.config), "features": float("nan")}
         assert self._denoise_with_checkpoint(tmp_path, config, params.state()) == 2
+
+    @pytest.mark.parametrize("bad", ["image", "checkpoint"])
+    def test_non_finite_input_is_data_error(self, tmp_path, bad):
+        # a NaN voxel in the image, or an inf in the checkpoint's last weight
+        params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
+        files = {"image": tmp_path / "image.c2t", "checkpoint": tmp_path / "ckpt.c2k"}
+        write_tensor(files["image"], np.ones((8, 8)))
+        save_checkpoint(files["checkpoint"], params)
+        value = np.nan if bad == "image" else np.inf
+        files[bad].write_bytes(files[bad].read_bytes()[:-4] + struct.pack("<f", value))
+        code = cli_main([
+            "denoise", "--checkpoint", str(files["checkpoint"]), "--image", str(files["image"]),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_learning_rate_is_data_error(self, tmp_path, tiny_config):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(tiny_config.read_text().replace("base_lr = 0.001", "base_lr = nan"))
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert not (tmp_path / "t").exists()
 
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck"]) == 0

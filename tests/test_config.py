@@ -69,6 +69,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="expected boolean"):
             parse_config("[training]\nwhiten = maybe\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_floats_rejected(self, value):
+        with pytest.raises(ConfigError, match="line 3: expected float"):
+            parse_config(f"[training]\nepochs = 2\nbase_lr = {value}\n")
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[phantom]\ngrid_size = 16\n")

@@ -132,6 +132,9 @@ class TestMakeNoiseCovariance:
             NoiseSpec(rho_min=0.3, rho_max=0.2)
         with pytest.raises(ValueError):
             NoiseSpec(sigma=-1.0)
+        for sigma in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                NoiseSpec(sigma=sigma)
 
 
 class TestSampleNoise:
@@ -158,6 +161,11 @@ class TestSampleNoise:
         bad = np.array([[1.0, 2.0], [2.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
             sample_noise(bad, (4, 4), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("psi", [1.0, np.ones(4), np.ones((2, 3))], ids=["0-d", "1-d", "2x3"])
+    def test_non_square_rejected(self, psi):
+        with pytest.raises(ValueError, match="covariance must be"):
+            sample_noise(psi, (2, 2), np.random.default_rng(0))
 
     def test_deterministic(self):
         psi = np.eye(2, dtype=complex)

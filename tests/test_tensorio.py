@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coil2coil.network import NetworkConfig, forward, init_network
 from coil2coil.tensorio import (
@@ -104,6 +106,85 @@ class TestMalformedInput:
         path.write_bytes(header)
         with pytest.raises(TensorFormatError, match="overflow"):
             read_tensor(path)
+
+
+def planted(record, value, slot=-1):
+    """A record's bytes with one float32 slot of its payload set to value."""
+    buf = bytearray(record)
+    struct.pack_into("<f", buf, len(buf) + 4 * slot, value)
+    return bytes(buf)
+
+
+class TestFinitePayload:
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([1.0, np.nan]),
+            np.array([[0.0, -np.inf]], dtype=np.float32),
+            np.array([1 + 1j, complex(0, np.inf)]),
+            pytest.param(  # finite in float64, inf once canonicalized to float32
+                np.array(1e39), marks=pytest.mark.filterwarnings("ignore:overflow encountered")
+            ),
+        ],
+        ids=["nan", "minus-inf", "complex-inf", "float32-overflow"],
+    )
+    def test_write_refuses_non_finite(self, tmp_path, arr):
+        with pytest.raises(TensorFormatError, match="NaN or inf"):
+            write_tensor(tmp_path / "t.c2t", arr)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_read_refuses_non_finite(self, tmp_path, dtype, value):
+        path = tmp_path / "t.c2t"
+        path.write_bytes(planted(tensor_bytes(np.ones((3, 2), dtype=dtype)), value))
+        with pytest.raises(TensorFormatError, match="NaN or inf"):
+            read_tensor(path)
+
+    def test_bool_records_are_not_scanned(self, tmp_path):
+        data = planted(tensor_bytes(np.zeros(4, dtype=bool)), np.nan)
+        path = tmp_path / "m.c2t"
+        path.write_bytes(data)
+        assert tensor_bytes(read_tensor(path)) == data
+
+
+@st.composite
+def fuzzed_records(draw):
+    """A valid float32, complex64 or bool record, then bytes flipped, the
+    tail cut, or NaN/inf planted in a payload slot."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=3)))
+    kind = draw(st.sampled_from([np.float32, np.complex64, np.bool_]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arr = rng.standard_normal((2, *shape)) * 1e3
+    arr = {np.float32: arr[0], np.complex64: arr[0] + 1j * arr[1], np.bool_: arr[0] > 0}[kind]
+    record = tensor_bytes(arr)
+    how = draw(st.sampled_from(["flip", "truncate", "plant"]))
+    if how == "flip":
+        buf = bytearray(record)
+        for i in draw(st.lists(st.integers(0, len(buf) - 1), min_size=1, max_size=4)):
+            buf[i] ^= draw(st.integers(1, 255))
+        return bytes(buf)
+    if how == "truncate":
+        return record[: draw(st.integers(0, len(record) - 1))]
+    slots = (len(record) - 8 - 4 * len(shape)) // 4  # payload floats after the header
+    if slots == 0:
+        return record
+    slot = draw(st.integers(-slots, -1))
+    return planted(record, draw(st.sampled_from([np.nan, np.inf, -np.inf])), slot)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=fuzzed_records())
+def test_read_tensor_fuzz(tmp_path, data):
+    # whatever read_tensor accepts is finite and writes back to the same
+    # bytes; anything else is a TensorFormatError, never another exception
+    path = tmp_path / "fuzz.c2t"
+    path.write_bytes(data)
+    try:
+        arr = read_tensor(path)
+    except TensorFormatError:
+        return
+    assert arr.dtype == np.bool_ or np.isfinite(arr).all()
+    assert tensor_bytes(arr) == data
 
 
 class TestPgm:
@@ -222,6 +303,17 @@ class TestCheckpoint:
         b, _ = forward(loaded, x, train=False)
         # storage is float32, so agreement is to single precision
         assert np.allclose(a, b, atol=1e-5)
+
+    def test_non_finite_weight_is_refused(self, tmp_path):
+        params = init_network(NetworkConfig(depth=3, features=2), np.random.default_rng(6))
+        path = tmp_path / "ckpt.c2k"
+        save_checkpoint(path, params)
+        path.write_bytes(planted(path.read_bytes(), np.inf))  # the last record's last value
+        with pytest.raises(TensorFormatError, match="NaN or inf"):
+            load_checkpoint(path)
+        params.weights[0][0] = np.nan  # what a nan learning rate trains into
+        with pytest.raises(TensorFormatError, match="NaN or inf"):
+            save_checkpoint(tmp_path / "nan.c2k", params)
 
     def test_truncated_checkpoint(self, tmp_path):
         params = init_network(NetworkConfig(depth=3, features=2), np.random.default_rng(6))

@@ -16,6 +16,7 @@ from coil2coil.simulate import (
 )
 from coil2coil.train import (
     TrainConfig,
+    _input_scale,
     c2c_loss,
     denoise,
     denoise_image,
@@ -155,6 +156,20 @@ class TestTrainLoop:
         assert all(np.isfinite(v) for v in log.val_psnrs)
         rows = log.rows()
         assert len(rows) == 2 and rows[0][0] == 0
+
+
+class TestInputScale:
+    def test_derived_mask_gives_the_given_mask_scale(self):
+        # noise-free, make_mask of the combined image recovers the simulated
+        # mask, so the scale without a mask is the one training used; the
+        # whole-image std is larger
+        for s in tiny_slices(n=4, sigma=0.0):
+            img = combine_all(s.stack, s.sens)
+            assert _input_scale(img) == _input_scale(img, s.mask)
+            assert img.std() > 1.2 * _input_scale(img, s.mask)
+
+    def test_all_zero_image_has_unit_scale(self):
+        assert _input_scale(np.zeros((8, 8))) == 1.0
 
 
 class TestInference:
