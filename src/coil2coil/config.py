@@ -11,12 +11,14 @@ import math
 from dataclasses import asdict
 
 from .network import NetworkConfig
+from .simulate import NoiseSpec
 from .train import TrainConfig
 
 __all__ = ["DEFAULTS", "parse_config", "load_config", "ConfigError"]
 
-# section -> key -> default (type of the default fixes the parsed type); [network] and
-# [training] are the NetworkConfig and TrainConfig fields but seed, plus the dataset sizes
+# section -> key -> default (type of the default fixes the parsed type); [noise] and
+# [network] are the NoiseSpec and NetworkConfig fields, [training] the TrainConfig
+# fields but seed, plus the dataset sizes
 DEFAULTS = {
     "phantom": {
         "grid_size": 32,
@@ -30,11 +32,7 @@ DEFAULTS = {
         "falloff": 1.05,
         "use_phases": True,
     },
-    "noise": {
-        "sigma": 1.0,
-        "rho_min": 0.0,
-        "rho_max": 0.2,
-    },
+    "noise": asdict(NoiseSpec()),
     "network": asdict(NetworkConfig()),
     "training": {
         **{k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},

@@ -43,19 +43,14 @@ def coil_spec_from_config(cfg):
 def simulate_slice(cfg, rng, sigma=None, with_second=False):
     """One synthetic acquisition as a SliceData (clean image included)."""
     p = cfg["phantom"]
-    noise_cfg = cfg["noise"]
     grid = p["grid_size"]
     spec = random_phantom_spec(grid, rng, (p["n_ellipses_min"], p["n_ellipses_max"]))
     phantom = make_phantom(spec)
     mask = make_mask(phantom, p["mask_threshold"])
     coil = coil_spec_from_config(cfg)
     sens = make_sensitivities(coil, phantom.shape)
-    nspec = NoiseSpec(
-        sigma=noise_cfg["sigma"] if sigma is None else sigma,
-        rho_min=noise_cfg["rho_min"],
-        rho_max=noise_cfg["rho_max"],
-    )
-    psi = make_noise_covariance(sens, phantom, mask, nspec, rng)
+    noise = cfg["noise"] if sigma is None else {**cfg["noise"], "sigma": sigma}
+    psi = make_noise_covariance(sens, phantom, mask, NoiseSpec(**noise), rng)
     stack = synthesize_acquisition(phantom, sens, psi, rng)
     clean_stack = sens * phantom[None]
     clean = combine_all(clean_stack, sens)

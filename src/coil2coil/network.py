@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-GRADCHECK_STEP, GRADCHECK_BATCH = 1e-5, (2, 8, 8)  # gradient_check's difference step, (N, H, W)
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,11 @@ class NetworkConfig:
     def full_scale(cls):
         """18 layers, 64 features, 5x5 kernels (GPU-scale preset)."""
         return cls(depth=18, features=64, kernel_size=5)
+
+
+# gradient_check's network, difference step and (N, H, W) batch
+GRADCHECK_CONFIG = NetworkConfig(depth=3, features=2, kernel_size=3)
+GRADCHECK_STEP, GRADCHECK_BATCH = 1e-5, (2, 8, 8)
 
 
 @dataclass
@@ -331,17 +335,14 @@ def lr_schedule(epoch, base_lr=1e-4, decay=0.87):
     return base_lr * decay**epoch
 
 
-def gradient_check(config=None, rng=None):
+def gradient_check(rng):
     """Compare backward() against central finite differences.
 
     Uses a masked quadratic loss on random data and perturbs every
-    parameter entry of a small network.  Returns the worst relative error.
+    parameter entry of GRADCHECK_CONFIG's network.  Returns the worst
+    relative error.
     """
-    if config is None:
-        config = NetworkConfig(depth=3, features=2, kernel_size=3)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    params = init_network(config, rng)
+    params = init_network(GRADCHECK_CONFIG, rng)
     # non-trivial BN shift/scale so their gradients are exercised
     for i in range(len(params.bn_scale)):
         params.bn_scale[i] = 1.0 + 0.1 * rng.standard_normal(params.bn_scale[i].shape)

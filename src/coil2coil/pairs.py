@@ -87,6 +87,11 @@ class TrainingPair:
     coverage_k: float = 1.0
     n_fallback: int = 0
 
+    def __getitem__(self, idx):
+        """The pairs at idx of a stack of pairs, whose arrays are (N, H, W)."""
+        return TrainingPair(self.image_in[idx], self.image_label[idx], self.sens_in[idx],
+                            self.sens_label[idx], self.mask[idx])
+
 
 def split_channels(m, rng):
     """Uniformly random balanced partition of m >= 2 channels."""
@@ -165,31 +170,26 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
 
 
 def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, whiten=True):
-    """Monte-Carlo check of pair noise independence.
-
-    Draws n_real noise realizations of the acquisition, builds the
-    (optionally whitened) input/label magnitudes for each, and returns the
-    mean absolute per-voxel correlation between them inside the mask.
-    """
-    return empirical_noise_correlations(
-        phantom, sens, psi, split, mask, n_real, rng, whiten=(whiten,)
-    )[0]
+    """Monte-Carlo check of pair noise independence: the whitened (or, with
+    whiten off, raw) figure of empirical_noise_correlations."""
+    return empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng)[0 if whiten else 1]
 
 
-def empirical_noise_correlations(
-    phantom, sens, psi, split, mask, n_real, rng, whiten=(True, False)
-):
-    """empirical_noise_correlation for each flag in whiten, from one set of
-    draws: the realizations are drawn and combined once, and each label is
-    correlated with the one input.  Each figure equals the single-flag call
-    with the same rng state, bit for bit.
+def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
+    """Monte-Carlo check of pair noise independence, (whitened, raw).
+
+    Draws n_real noise realizations of the acquisition and returns the mean
+    absolute per-voxel correlation inside the mask between the input
+    magnitude a and the whitened label alpha*a + beta*b, and between a and
+    the raw label magnitude b.  Both come from one set of per-voxel sample
+    moments of a and b (variances v_a, v_b and covariance c): the whitened
+    label is linear in a and b, so its covariance with a is
+    alpha*v_a + beta*c and its variance alpha^2*v_a + 2*alpha*beta*c + beta^2*v_b.
     """
     sens = np.asarray(sens)
     gj, gk = list(split.group_j), list(split.group_k)
     wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))  # validates sens, psi
     mask = check_mask(mask, sens.shape[1:])
-    # per label: the flat (alpha, beta) maps, or None for the raw label
-    coeffs = [(wmaps.alpha.ravel(), wmaps.beta.ravel()) if flag else None for flag in whiten]
 
     clean = sens * np.asarray(phantom)
     uj = sens[gj].conj().reshape(len(gj), -1)
@@ -197,28 +197,26 @@ def empirical_noise_correlations(
     cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
     ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
 
-    sa, saa = np.zeros((2, mask.size))
-    sb, sbb, sab = np.zeros((3, len(coeffs), mask.size))
+    sa, sb, saa, sbb, sab = np.zeros((5, mask.size))
     done = 0
     while done < n_real:
         r = min(MC_CHUNK, n_real - done)
         noise = sample_noise(psi, (r, mask.size), rng)
-        ej = np.einsum("cv,crv->rv", uj, noise[gj])
-        ek = np.einsum("cv,crv->rv", uk, noise[gk])
-        img_in = np.abs(cj[None] + ej)
-        raw = np.abs(ck[None] + ek)  # 0 * img_in + 1 * raw, bit for bit
-        sa += img_in.sum(axis=0)
-        saa += (img_in**2).sum(axis=0)
-        for i, ab in enumerate(coeffs):
-            img_lab = raw if ab is None else ab[0] * img_in + ab[1] * raw
-            sb[i] += img_lab.sum(axis=0)
-            sbb[i] += (img_lab**2).sum(axis=0)
-            sab[i] += (img_in * img_lab).sum(axis=0)
+        a = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
+        b = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
+        sa += a.sum(axis=0)
+        sb += b.sum(axis=0)
+        saa += (a**2).sum(axis=0)
+        sbb += (b**2).sum(axis=0)
+        sab += (a * b).sum(axis=0)
         done += r
 
     n = float(n_real)
     va = saa / n - (sa / n) ** 2
     vb = sbb / n - (sb / n) ** 2
-    cov = sab / n - (sa / n) * (sb / n)
-    corr = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
-    return tuple(float(np.mean(np.abs(c[mask.ravel()]))) for c in corr)
+    c = sab / n - (sa / n) * (sb / n)
+    alpha, beta = wmaps.alpha.ravel(), wmaps.beta.ravel()
+    cov = np.stack([alpha * va + beta * c, c])
+    var = np.stack([alpha**2 * va + 2 * alpha * beta * c + beta**2 * vb, vb])
+    corr = np.where((va > 0) & (var > 0), cov / np.sqrt(np.maximum(va * var, 1e-300)), 0.0)
+    return tuple(float(np.mean(np.abs(x[mask.ravel()]))) for x in corr)

@@ -191,6 +191,8 @@ def synthesize_acquisition(phantom, sens, psi, rng):
     phantom = np.asarray(phantom)
     if sens.shape[1:] != phantom.shape:
         raise ValueError(f"sensitivity shape {sens.shape} does not match phantom {phantom.shape}")
+    if np.shape(psi) != (len(sens), len(sens)):
+        raise ValueError(f"covariance shape {np.shape(psi)} does not match {len(sens)} channels")
     return sens * phantom[None] + sample_noise(psi, phantom.shape, rng)
 
 

@@ -20,9 +20,10 @@ Checkpoint (.c2k) layout:
                       "tensors": the record names, in order}
     records one container record per name, in NetworkParams.state() order
 
-Malformed tensor files and checkpoints raise TensorFormatError, and so does
-a float32/complex64 payload holding NaN or +-inf, on write as on read: every
-array these files hand the program is finite, and nothing downstream rescans.
+Reading a malformed tensor file or checkpoint raises TensorFormatError naming
+the file.  A float32/complex64 payload holding NaN or +-inf raises it too, on
+write as on read: every array these files hand the program is finite, and
+nothing downstream rescans.
 """
 
 from __future__ import annotations
@@ -124,14 +125,23 @@ def _read_record(buf, offset=0):
     return arr.astype(_CODES[code]), pos + nbytes
 
 
-def read_tensor(path):
-    """Read a single-tensor file; rejects trailing bytes."""
+def _read_file(path, parse):
+    """Parse the bytes of path with parse(buf) -> (value, end); the file must
+    end at end.  A TensorFormatError names the file."""
     with open(path, "rb") as f:
         buf = f.read()
-    arr, end = _read_record(buf)
-    if end != len(buf):
-        raise TensorFormatError(f"{len(buf) - end} trailing bytes after payload")
-    return arr
+    try:
+        value, end = parse(buf)
+        if end != len(buf):
+            raise TensorFormatError(f"{len(buf) - end} trailing bytes")
+    except TensorFormatError as exc:
+        raise TensorFormatError(f"{path}: {exc}") from None
+    return value
+
+
+def read_tensor(path):
+    """Read a single-tensor file; rejects trailing bytes."""
+    return _read_file(path, _read_record)
 
 
 def write_pgm(path, image, mask=None):
@@ -174,8 +184,11 @@ def _stored(arrays, name, shape):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as f:
-        buf = f.read()
+    return _read_file(path, _checkpoint)
+
+
+def _checkpoint(buf):
+    """(params, end) of the checkpoint in buf."""
     if len(buf) < 4:
         raise TensorFormatError("truncated checkpoint")
     (hlen,) = struct.unpack_from("<I", buf, 0)
@@ -185,14 +198,13 @@ def load_checkpoint(path):
         header = json.loads(buf[4 : 4 + hlen].decode())
         config = NetworkConfig(**header["config"])
         names = [str(name) for name in header["tensors"]]
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:  # OverflowError: an int past float range
+    # OverflowError: an int past float range; RecursionError: JSON nested too deep
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise TensorFormatError(f"bad checkpoint header: {exc!r}") from None
     arrays = {}
     pos = 4 + hlen
     for name in names:
         arrays[name], pos = _read_record(buf, pos)
-    if pos != len(buf):
-        raise TensorFormatError("trailing bytes after checkpoint tensors")
     held = sum(arr.size for arr in arrays.values())
     if config.state_size() > held:  # before init_network allocates the network
         raise TensorFormatError(
@@ -206,4 +218,4 @@ def load_checkpoint(path):
     for i, mean in enumerate(params.bn_mean):
         if f"conv{i + 1}.bias" in arrays:
             mean -= _stored(arrays, f"conv{i + 1}.bias", mean.shape)
-    return params
+    return params, pos

@@ -15,7 +15,7 @@ it reduces to a masked MSE.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,21 +79,21 @@ class TrainLog:
 def c2c_loss(pred, pair: TrainingPair, normalize=True):
     """Sensitivity-weighted masked L2 loss and its gradient in pred.
 
-    loss = mean_{mask} (S_label * pred - S_in * label)^2; with normalize
-    off both maps are replaced by 1 (ablation).
+    For one pair, loss = mean_{mask} (S_label * pred - S_in * label)^2; with
+    normalize off both maps are replaced by 1 (ablation).  pred and the
+    pair's arrays are (H, W) for one pair or (N, H, W) for a batch: each
+    pair's masked mean is taken over the last two axes, the loss is their
+    mean over the batch (summed in batch order), and grad is its gradient.
     """
     mask = pair.mask
-    n = int(np.count_nonzero(mask))
-    if n == 0:
+    n = np.count_nonzero(mask, axis=(-2, -1))
+    if np.any(n == 0):
         raise ValueError("empty mask in loss")
-    if normalize:
-        s_lab, s_in = pair.sens_label, pair.sens_in
-    else:
-        s_lab = s_in = np.ones_like(pair.image_in)
+    s_lab, s_in = (pair.sens_label, pair.sens_in) if normalize else (1.0, 1.0)
     resid = np.where(mask, s_lab * pred - s_in * pair.image_label, 0.0)
-    loss = float(np.sum(resid**2)) / n
-    grad = 2.0 * s_lab * resid / n
-    return loss, grad
+    losses = np.atleast_1d(np.sum(resid**2, axis=(-2, -1)) / n)
+    grad = 2.0 * s_lab * resid / n[..., None, None] / len(losses)
+    return sum(losses.tolist()) / len(losses), grad
 
 
 def _input_scale(image, mask=None):
@@ -108,40 +108,33 @@ def _input_scale(image, mask=None):
     return s if s > 0 else 1.0
 
 
-def _normalized_pair(pair: TrainingPair):
-    """Rescale a pair so the network input has unit masked std.
-
-    Input and label are scaled together, so the loss minimizer is
-    unchanged and inference can apply the same rule to its own input.
-    """
-    s = _input_scale(pair.image_in, pair.mask)
-    return replace(pair, image_in=pair.image_in / s, image_label=pair.image_label / s)
-
-
 def _epoch_pairs(slices, config, rng):
-    """Materialize (input, label, s_in, s_label, mask) per slice for one epoch."""
+    """One epoch's pairs as one TrainingPair of (N, H, W) arrays, and the C2C
+    splits drawn.  Each pair's input and label are divided by the input's
+    scale, so the network input has unit masked std and the loss minimizer
+    is unchanged; inference applies the same rule to its own input."""
     pairs = []
     splits = []
     for data in slices:
-        m = data.stack.shape[0]
         if config.mode == "C2C":
-            split = split_channels(m, rng)
+            split = split_channels(data.stack.shape[0], rng)
             splits.append(split)
-            pairs.append(make_training_pair(data.stack, data.sens, data.psi, split, data.mask, whiten=config.whiten))
+            p = make_training_pair(data.stack, data.sens, data.psi, split, data.mask, whiten=config.whiten)
         elif config.mode == "N2N":
             if data.stack_b is None:
                 raise ValueError("N2N mode needs a second noise realization per slice")
             img_in = combine_all(data.stack, data.sens)
-            img_lab = combine_all(data.stack_b, data.sens)
             ones = np.ones_like(img_in)
-            pairs.append(TrainingPair(img_in, img_lab, ones, ones, data.mask))
+            p = TrainingPair(img_in, combine_all(data.stack_b, data.sens), ones, ones, data.mask)
         else:  # N2CL
             if data.clean is None:
                 raise ValueError("N2CL mode needs clean images")
             img_in = combine_all(data.stack, data.sens)
             ones = np.ones_like(img_in)
-            pairs.append(TrainingPair(img_in, data.clean, ones, ones, data.mask))
-    return [_normalized_pair(p) for p in pairs], splits
+            p = TrainingPair(img_in, data.clean, ones, ones, data.mask)
+        s = _input_scale(p.image_in, p.mask)
+        pairs.append((p.image_in / s, p.image_label / s, p.sens_in, p.sens_label, p.mask))
+    return TrainingPair(*(np.stack(arrays) for arrays in zip(*pairs))), splits
 
 
 def train(slices, net_config, config, val_slices=None):
@@ -149,7 +142,10 @@ def train(slices, net_config, config, val_slices=None):
 
     slices is a sequence of SliceData with identical image shapes.  Every
     network input is scale-normalized to unit masked std (the label is
-    scaled with it); validation pSNR is computed in original units.
+    scaled with it); validation pSNR is computed in original units.  Each
+    epoch stacks its pairs into (N, H, W) arrays; a step takes a batch of
+    them by index and makes one forward, one c2c_loss over the batch, one
+    backward and one Adam step.
     """
     if not slices:
         raise ValueError("empty training dataset")
@@ -168,17 +164,9 @@ def train(slices, net_config, config, val_slices=None):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            batch = np.stack([pairs[i].image_in for i in idx])
-            out, cache = net.forward(params, batch, train=True)
-            grads_out = np.empty_like(out)
-            batch_loss = 0.0
-            for row, i in enumerate(idx):
-                loss_i, g_i = c2c_loss(out[row], pairs[i], normalize=config.normalize)
-                batch_loss += loss_i
-                grads_out[row] = g_i
-            batch_loss /= len(idx)
-            grads_out /= len(idx)
+            batch = pairs[order[start : start + config.batch_size]]
+            out, cache = net.forward(params, batch.image_in, train=True)
+            batch_loss, grads_out = c2c_loss(out, batch, normalize=config.normalize)
             grads = net.backward(params, cache, grads_out)
             net.adam_step(params, grads, state, lr)
             epoch_losses.append(batch_loss)

@@ -215,6 +215,33 @@ class TestErrorsAndGradcheck:
         config = {**dataclasses.asdict(params.config), "features": float("nan")}
         assert self._denoise_with_checkpoint(tmp_path, config, params.state()) == 2
 
+    def test_deeply_nested_checkpoint_header_is_data_error(self, tmp_path, capsys):
+        # json.loads raises RecursionError on this header
+        ckpt = tmp_path / "deep.c2k"
+        ckpt.write_bytes(struct.pack("<I", 100_000) + b"[" * 100_000)
+        image = tmp_path / "image.c2t"
+        write_tensor(image, np.ones((8, 8)))
+        code = cli_main([
+            "denoise", "--checkpoint", str(ckpt), "--image", str(image), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "deep.c2k" in capsys.readouterr().err
+
+    def test_error_names_the_bad_file(self, tmp_path, capsys):
+        ref, mask, good, bad = (tmp_path / f"{name}.c2t" for name in ("ref", "mask", "good", "bad"))
+        write_tensor(ref, np.ones((8, 8)))
+        write_tensor(mask, np.ones((8, 8), bool))
+        write_tensor(good, np.ones((8, 8)))
+        write_tensor(bad, np.ones((8, 8)))
+        bad.write_bytes(bad.read_bytes()[:-4] + struct.pack("<f", np.nan))
+        code = cli_main([
+            "eval", "--ref", str(ref), "--mask", str(mask), "--images", f"{good},{bad}",
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.c2t" in err and "good.c2t" not in err
+
     @pytest.mark.parametrize("bad", ["image", "checkpoint"])
     def test_non_finite_input_is_data_error(self, tmp_path, bad):
         # a NaN voxel in the image, or an inf in the checkpoint's last weight

@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coil2coil.config import DEFAULTS, ConfigError, load_config, parse_config
 
@@ -78,3 +82,39 @@ class TestParsing:
         path = tmp_path / "run.cfg"
         path.write_text("[phantom]\ngrid_size = 16\n")
         assert load_config(path)["phantom"]["grid_size"] == 16
+
+
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "off", "C2C", "N2N", " 1e999 ", "9" * 5000]),
+)
+_LINES = st.one_of(
+    st.sampled_from([*DEFAULTS, "bogus"]).map(lambda name: f"[{name}]"),
+    st.tuples(st.sampled_from([key for keys in DEFAULTS.values() for key in keys]), _VALUES).map(
+        lambda kv: f"{kv[0]} = {kv[1]}"
+    ),
+    st.tuples(st.sampled_from([(sec, key) for sec in DEFAULTS for key in DEFAULTS[sec]]), _VALUES).map(
+        lambda kv: f"[{kv[0][0]}]\n{kv[0][1]} = {kv[1]}"
+    ),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(_LINES, max_size=12).map("\n".join))
+def test_parse_config_fuzz(text):
+    # section headers, known keys with drawn values (alone or under their
+    # own section) and arbitrary lines: the text parses to values of each
+    # default's type, finite where they are floats, or raises ConfigError,
+    # never another exception
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    for section, keys in DEFAULTS.items():
+        for key, default in keys.items():
+            value = cfg[section][key]
+            assert type(value) is type(default)
+            assert not isinstance(value, float) or math.isfinite(value)

@@ -3,6 +3,7 @@ import pytest
 
 from coil2coil.imaging import VoxelStats, propagate_noise_stats
 from coil2coil.pairs import (
+    MC_CHUNK,
     ChannelSplit,
     combine_all,
     empirical_noise_correlation,
@@ -19,6 +20,7 @@ from coil2coil.simulate import (
     make_phantom,
     make_sensitivities,
     random_phantom_spec,
+    sample_noise,
     synthesize_acquisition,
 )
 
@@ -189,7 +191,58 @@ class TestMakeTrainingPair:
         assert np.allclose(full, np.abs(parts))
 
 
+def label_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
+    """(whitened, raw) by correlating each label's own sample moments with
+    the input: the form empirical_noise_correlations had before it derived
+    the whitened figure from the moments of the input and the raw label,
+    kept here as its oracle."""
+    gj, gk = list(split.group_j), list(split.group_k)
+    wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
+    coeffs = [(wmaps.alpha.ravel(), wmaps.beta.ravel()), None]
+    clean = sens * phantom
+    uj = sens[gj].conj().reshape(len(gj), -1)
+    uk = sens[gk].conj().reshape(len(gk), -1)
+    cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
+    ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
+    sa, saa = np.zeros((2, mask.size))
+    sb, sbb, sab = np.zeros((3, len(coeffs), mask.size))
+    done = 0
+    while done < n_real:
+        r = min(MC_CHUNK, n_real - done)
+        noise = sample_noise(psi, (r, mask.size), rng)
+        img_in = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
+        raw = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
+        sa += img_in.sum(axis=0)
+        saa += (img_in**2).sum(axis=0)
+        for i, ab in enumerate(coeffs):
+            img_lab = raw if ab is None else ab[0] * img_in + ab[1] * raw
+            sb[i] += img_lab.sum(axis=0)
+            sbb[i] += (img_lab**2).sum(axis=0)
+            sab[i] += (img_in * img_lab).sum(axis=0)
+        done += r
+    n = float(n_real)
+    va = saa / n - (sa / n) ** 2
+    vb = sbb / n - (sb / n) ** 2
+    cov = sab / n - (sa / n) * (sb / n)
+    corr = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
+    return tuple(float(np.mean(np.abs(c[mask.ravel()]))) for c in corr)
+
+
 class TestEmpiricalNoiseCorrelation:
+    @pytest.mark.parametrize("m", [4, 5, 7, 16])
+    def test_moments_match_the_label_oracle(self, m):
+        # the raw figure is the oracle's bit for bit; the whitened one,
+        # derived from the moments, agrees to roundoff; 1,200 realizations
+        # span three MC_CHUNK chunks
+        scene = SyntheticScene(grid=16, m=m, sigma=0.3, seed=m)
+        split = split_channels(m, np.random.default_rng(m + 1))
+        args = (scene.phantom, scene.sens, scene.psi, split, scene.mask, 1_200)
+        assert args[-1] > 2 * MC_CHUNK
+        white, raw = empirical_noise_correlations(*args, np.random.default_rng(m + 2))
+        white_ref, raw_ref = label_noise_correlations(*args, np.random.default_rng(m + 2))
+        assert raw.hex() == raw_ref.hex()
+        assert white == pytest.approx(white_ref, rel=1e-12, abs=0)
+
     def test_whitening_reduces_correlation(self):
         # strongly correlated channels: the raw input/label correlation is
         # large and whitening removes most of it

@@ -209,6 +209,12 @@ class TestSynthesizeAcquisition:
         stack = synthesize_acquisition(self.phantom, self.sens, psi, np.random.default_rng(0))
         assert np.array_equal(stack, self.sens * self.phantom[None])
 
+    @pytest.mark.parametrize("psi", [np.eye(1), np.eye(3)], ids=["1x1", "3x3"])
+    def test_covariance_must_match_the_channels(self, psi):
+        # a (1, 1) psi used to give four channels one shared noise draw
+        with pytest.raises(ValueError, match="does not match 4 channels"):
+            synthesize_acquisition(self.phantom, self.sens, psi, np.random.default_rng(0))
+
     def test_pure_noise(self):
         psi = np.eye(2, dtype=complex)
         sens = np.ones((2, 8, 8), complex)

@@ -204,7 +204,8 @@ class TestPgm:
 
 
 def _write_checkpoint(path, header, arrays):
-    head = json.dumps(header).encode()
+    """A checkpoint file; header is a JSON value, or the header text itself."""
+    head = (header if isinstance(header, str) else json.dumps(header)).encode()
     path.write_bytes(
         struct.pack("<I", len(head)) + head + b"".join(tensor_bytes(a) for a in arrays.values())
     )
@@ -249,11 +250,13 @@ class TestCheckpoint:
             _set_config("kernel_size", 3.0),
             _set_config("features", float("nan")),
             _set_config("bn_eps", 10**400),
+            lambda header, arrays: "[" * 100_000,
         ],
         ids=[
             "missing-tensor", "wrong-shape", "complex-tensor", "list-header",
             "no-config", "no-tensors", "unknown-config-key",
             "float-depth", "float-kernel-size", "nan-features", "eps-past-float-range",
+            "deeply-nested-header",
         ],
     )
     def test_malformed_checkpoint(self, tmp_path, corrupt):
@@ -262,7 +265,7 @@ class TestCheckpoint:
         header = {"config": dataclasses.asdict(params.config), "tensors": list(arrays)}
         path = tmp_path / "bad.c2k"
         _write_checkpoint(path, corrupt(header, arrays), arrays)
-        with pytest.raises(TensorFormatError):
+        with pytest.raises(TensorFormatError, match="bad.c2k"):
             load_checkpoint(path)
 
     def test_config_beyond_the_records_is_rejected_before_allocating(self, tmp_path):
@@ -351,3 +354,27 @@ class TestCheckpoint:
         a, _ = forward(reference, x, train=False)
         b, _ = forward(loaded, x, train=False)
         assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(how=st.sampled_from(["flip", "truncate"]), data=st.data())
+def test_load_checkpoint_fuzz(tmp_path, how, data):
+    # a small checkpoint with bytes flipped, about half of them in the
+    # length word and JSON header, or its tail cut: it loads to finite
+    # parameters or raises TensorFormatError, never another exception
+    path = tmp_path / "fuzz.c2k"
+    save_checkpoint(path, init_network(NetworkConfig(depth=3, features=2), np.random.default_rng(0)))
+    buf = bytearray(path.read_bytes())
+    if how == "flip":
+        (hlen,) = struct.unpack_from("<I", buf)
+        where = st.integers(0, 4 + hlen - 1) | st.integers(0, len(buf) - 1)
+        for i in data.draw(st.lists(where, min_size=1, max_size=4)):
+            buf[i] ^= data.draw(st.integers(1, 255))
+    else:
+        del buf[data.draw(st.integers(0, len(buf) - 1)) :]
+    path.write_bytes(bytes(buf))
+    try:
+        params = load_checkpoint(path)
+    except TensorFormatError:
+        return
+    assert all(np.isfinite(arr).all() for _, arr in params.state())

@@ -89,6 +89,36 @@ class TestLoss:
                 num = (c2c_loss(pp, pair)[0] - c2c_loss(pm, pair)[0]) / (2 * h)
                 assert grad[r, c] == pytest.approx(num, abs=1e-6)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("size", [1, 3, 8])
+    def test_batch_equals_the_per_pair_loop(self, size, normalize):
+        # the oracle is the per-pair loss and loop the training step ran
+        # before one call served a batch: the mean of the losses in batch
+        # order, each gradient over the batch size; masks of different counts
+        rng = np.random.default_rng(size)
+        pairs = [random_pair(rng) for _ in range(size)]
+        for k, p in enumerate(pairs):
+            p.mask[1, 1 : 1 + k % 3] = False
+        pred = rng.uniform(0.5, 2.0, (size, 6, 6))
+        loss_ref, grad_ref = 0.0, np.empty_like(pred)
+        for row, p in enumerate(pairs):
+            n = int(np.count_nonzero(p.mask))
+            ones = np.ones_like(p.image_in)
+            s_lab, s_in = (p.sens_label, p.sens_in) if normalize else (ones, ones)
+            resid = np.where(p.mask, s_lab * pred[row] - s_in * p.image_label, 0.0)
+            loss_ref += float(np.sum(resid**2)) / n
+            grad_ref[row] = 2.0 * s_lab * resid / n
+        loss_ref /= size
+        grad_ref /= size
+
+        batch = TrainingPair(*(np.stack(a) for a in zip(*(
+            (p.image_in, p.image_label, p.sens_in, p.sens_label, p.mask) for p in pairs
+        ))))
+        loss, grad = c2c_loss(pred, batch, normalize=normalize)
+        assert loss.hex() == loss_ref.hex()
+        assert grad.tobytes() == grad_ref.tobytes()
+        assert len({int(np.count_nonzero(p.mask)) for p in pairs}) == min(size, 3)
+
     def test_empty_mask_rejected(self):
         pair = random_pair(np.random.default_rng(5))
         bad = TrainingPair(
