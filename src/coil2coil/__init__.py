@@ -11,7 +11,6 @@ from .imaging import (
     VoxelStats,
     coil_combine,
     effective_sensitivity,
-    magnitude,
     propagate_noise_stats,
 )
 from .network import NetworkConfig, gradient_check, init_network

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import datasets, network, tensorio
 from .config import ConfigError, load_config
-from .metrics import MetricReport, paired_t_test
+from .metrics import paired_t_test, psnr, ssim
 from .pairs import empirical_noise_correlations, make_training_pair, split_channels
 from .train import TrainConfig, denoise, denoise_image, train
 
@@ -71,6 +71,14 @@ def _write_csv(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
+
+
+def _read_real(path):
+    """A real image tensor as float64; a complex one is refused, not cast."""
+    arr = tensorio.read_tensor(path)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{path}: expected a real image, got a complex tensor")
+    return arr.astype(np.float64)
 
 
 def _cmd_simulate(args):
@@ -150,8 +158,7 @@ def _cmd_denoise(args):
     params = tensorio.load_checkpoint(args.checkpoint)
     mask = tensorio.read_tensor(args.mask).astype(bool) if args.mask else None
     if args.image is not None:
-        img = tensorio.read_tensor(args.image).astype(np.float64)
-        result = denoise_image(params, img, mask=mask)
+        result = denoise_image(params, _read_real(args.image), mask=mask)
     elif args.stack is not None and args.sens is not None:
         stack = tensorio.read_tensor(args.stack).astype(np.complex128)
         sens = tensorio.read_tensor(args.sens).astype(np.complex128)
@@ -167,37 +174,30 @@ def _cmd_denoise(args):
     return 0
 
 
+def _mean_std(values):
+    """Mean and sample std (0 for one value) of per-image scores."""
+    arr = np.asarray(values, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # mean/std of infinities is nan
+        return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+
+
 def _cmd_eval(args):
-    ref = tensorio.read_tensor(args.ref).astype(np.float64)
+    ref = _read_real(args.ref)
     mask = tensorio.read_tensor(args.mask).astype(bool)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-
-    def report_for(paths):
-        rep = MetricReport()
-        for p in paths:
-            rep.add(tensorio.read_tensor(Path(p)).astype(np.float64), ref, mask)
-        return rep
-
-    paths_a = args.images.split(",")
-    rep_a = report_for(paths_a)
-    rows = [("a", i, p, s) for i, p, s in rep_a.rows()]
-    t_rows = []
-    if args.images_b:
-        paths_b = args.images_b.split(",")
-        rep_b = report_for(paths_b)
-        rows += [("b", i, p, s) for i, p, s in rep_b.rows()]
-        for name, va, vb in (
-            ("psnr", rep_a.psnr_values, rep_b.psnr_values),
-            ("ssim", rep_a.ssim_values, rep_b.ssim_values),
-        ):
-            t, p = paired_t_test(va, vb)
-            t_rows.append((name, t, p))
+    sets = {"a": args.images} | ({"b": args.images_b} if args.images_b else {})
+    scores = {}  # set -> (pSNRs, SSIMs), one value per image
+    for name, paths in sets.items():
+        images = (_read_real(Path(p)) for p in paths.split(","))
+        scores[name] = tuple(zip(*[(psnr(img, ref, mask), ssim(img, ref, mask)) for img in images]))
+    rows = [(name, i, p, s) for name, (ps, ss) in scores.items() for i, (p, s) in enumerate(zip(ps, ss))]
     _write_csv(out / "metrics.csv", ["set", "index", "psnr_db", "ssim"], rows)
-    if t_rows:
+    if "b" in scores:
+        t_rows = [(m, *paired_t_test(a, b)) for m, a, b in zip(("psnr", "ssim"), scores["a"], scores["b"])]
         _write_csv(out / "ttest.csv", ["metric", "t", "p"], t_rows)
-    s = rep_a.summary()
-    print(f"eval: pSNR {s['psnr_mean']:.2f} +/- {s['psnr_std']:.2f} dB, SSIM {s['ssim_mean']:.4f} +/- {s['ssim_std']:.4f}")
+    (p_mean, p_std), (s_mean, s_std) = (_mean_std(v) for v in scores["a"])
+    print(f"eval: pSNR {p_mean:.2f} +/- {p_std:.2f} dB, SSIM {s_mean:.4f} +/- {s_std:.4f}")
     return 0
 
 

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "VoxelStats",
     "coil_combine",
-    "magnitude",
     "effective_sensitivity",
     "propagate_noise_stats",
     "check_stack",
@@ -104,11 +103,6 @@ def coil_combine(stack, sens, group):
     stack = check_stack(stack, sens)
     group = _check_group(group, stack.shape[0])
     return np.einsum("chw,chw->hw", np.asarray(sens)[group].conj(), stack[group])
-
-
-def magnitude(img):
-    """Voxelwise absolute value, returned as a real image."""
-    return np.abs(np.asarray(img))
 
 
 def effective_sensitivity(sens, group):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import convolve1d
@@ -11,7 +10,7 @@ from scipy.special import betainc
 
 from .imaging import check_mask
 
-__all__ = ["MetricReport", "psnr", "ssim", "paired_t_test"]
+__all__ = ["psnr", "ssim", "paired_t_test"]
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -102,36 +101,3 @@ def paired_t_test(a, b):
     t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
     return t, float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-
-
-@dataclass
-class MetricReport:
-    """Per-image pSNR/SSIM values with mean +/- std aggregates."""
-
-    psnr_values: list = field(default_factory=list)
-    ssim_values: list = field(default_factory=list)
-
-    def add(self, test, ref, mask):
-        self.psnr_values.append(psnr(test, ref, mask))
-        self.ssim_values.append(ssim(test, ref, mask))
-
-    @staticmethod
-    def _agg(values):
-        arr = np.asarray(values, dtype=np.float64)
-        with np.errstate(invalid="ignore"):  # mean/std of infinities is nan
-            return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-
-    def summary(self):
-        return {
-            "psnr_mean": self._agg(self.psnr_values)[0],
-            "psnr_std": self._agg(self.psnr_values)[1],
-            "ssim_mean": self._agg(self.ssim_values)[0],
-            "ssim_std": self._agg(self.ssim_values)[1],
-        }
-
-    def rows(self):
-        """CSV rows: (index, psnr, ssim) per image, fixed order."""
-        return [
-            (i, p, s)
-            for i, (p, s) in enumerate(zip(self.psnr_values, self.ssim_values))
-        ]

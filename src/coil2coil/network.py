@@ -66,6 +66,11 @@ class NetworkConfig:
             raise ValueError("leaky slope must be in (0, 1)")
         if self.features < 1:
             raise ValueError("features must be >= 1")
+        if self.bn_eps <= 0:
+            raise ValueError("bn_eps must be > 0")
+        # past 1 the running-variance update extrapolates and can turn negative
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError("bn_momentum must be in [0, 1]")
 
     def state_size(self):
         """Number of values NetworkParams.state() holds, counted without
@@ -328,7 +333,7 @@ def adam_step(params, grads, state, lr):
     return params, state
 
 
-def lr_schedule(epoch, base_lr=1e-4, decay=0.87):
+def lr_schedule(epoch, base_lr, decay):
     """Exponentially decayed learning rate: base_lr * decay^epoch."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")

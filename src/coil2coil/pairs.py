@@ -17,7 +17,7 @@ var(label') = v_j.  Sensitivity normalization is carried as the pair's
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .imaging import (
     check_stack,
     coil_combine,
     effective_sensitivity,
-    magnitude,
     propagate_noise_stats,
 )
 from .simulate import sample_noise
@@ -69,7 +68,8 @@ class ChannelSplit:
 
 @dataclass(frozen=True)
 class WhiteningMaps:
-    """Per-voxel whitening coefficients; n_fallback counts degenerate voxels."""
+    """Per-voxel whitening coefficients (a scalar applies to every voxel);
+    n_fallback counts degenerate voxels."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -88,9 +88,8 @@ class TrainingPair:
     n_fallback: int = 0
 
     def __getitem__(self, idx):
-        """The pairs at idx of a stack of pairs, whose arrays are (N, H, W)."""
-        return TrainingPair(self.image_in[idx], self.image_label[idx], self.sens_in[idx],
-                            self.sens_label[idx], self.mask[idx])
+        """The pairs at idx of a stack of pairs, every field indexed on its first axis."""
+        return TrainingPair(*(getattr(self, f.name)[idx] for f in fields(self)))
 
 
 def split_channels(m, rng):
@@ -127,37 +126,32 @@ def whitening_coefficients(stats: VoxelStats):
 def combine_all(stack, sens):
     """Full matched-filter combination magnitude |sum_i conj(s_i) y_i|."""
     stack = check_stack(stack, sens)
-    return magnitude(np.einsum("chw,chw->hw", np.conj(sens), stack))
+    return np.abs(np.einsum("chw,chw->hw", np.conj(sens), stack))
 
 
 def make_training_pair(stack, sens, psi, split, mask, whiten=True):
     """Build a noise-independent training pair from one acquisition.
 
-    With whiten on, the label is alpha*I_input + beta*I_label with the GLS
-    coefficients computed from analytically propagated noise statistics,
-    and its sensitivity map is combined the same way.  With whiten off the
-    raw second-group combination is used (ablation).
+    The label is alpha*I_input + beta*I_label and its sensitivity map
+    alpha*S_j + beta*S_k.  With whiten on, (alpha, beta) are the GLS
+    coefficients of the analytically propagated noise statistics; with
+    whiten off they are (0, 1), so label and map are the raw second-group
+    combination and S_k bit for bit (ablation).
     """
     gj, gk = split.group_j, split.group_k
-    img_in = magnitude(coil_combine(stack, sens, gj))  # validates stack and sens
+    img_in = np.abs(coil_combine(stack, sens, gj))  # validates stack and sens
     if len(gj) + len(gk) != len(stack):
         raise ValueError("split does not match channel count")
     mask = check_mask(mask, img_in.shape)
-    img_lab = magnitude(coil_combine(stack, sens, gk))
+    img_lab = np.abs(coil_combine(stack, sens, gk))
     s_j = effective_sensitivity(sens, gj)
     s_k = effective_sensitivity(sens, gk)
-
-    n_fallback = 0
     if whiten:
-        stats = propagate_noise_stats(sens, psi, gj, gk)
-        wmaps = whitening_coefficients(stats)
-        label = wmaps.alpha * img_in + wmaps.beta * img_lab
-        s_label = wmaps.alpha * s_j + wmaps.beta * s_k
-        n_fallback = wmaps.n_fallback
+        wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
     else:
-        label = img_lab
-        s_label = s_k
-
+        wmaps = WhiteningMaps(alpha=0.0, beta=1.0)
+    label = wmaps.alpha * img_in + wmaps.beta * img_lab
+    s_label = wmaps.alpha * s_j + wmaps.beta * s_k
     if np.any(s_label[mask] <= 0):
         warnings.warn("degenerate pair: label sensitivity <= 0 inside mask", stacklevel=2)
 
@@ -165,7 +159,7 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
         image_in=img_in, image_label=label, sens_in=s_j, sens_label=s_label, mask=mask,
         coverage_j=float(np.mean(s_j[mask] >= SENS_FLOOR * s_j.max())),
         coverage_k=float(np.mean(s_k[mask] >= SENS_FLOOR * s_k.max())),
-        n_fallback=n_fallback,
+        n_fallback=wmaps.n_fallback,
     )
 
 

@@ -50,7 +50,7 @@ class Ellipse:
 @dataclass(frozen=True)
 class PhantomSpec:
     grid_size: int
-    ellipses: tuple = ()
+    ellipses: tuple
     background: complex = 0.0
 
     def __post_init__(self):
@@ -65,15 +65,15 @@ class CoilSpec:
     """Synthetic coil array: Gaussian falloff around per-channel centers."""
 
     centers: tuple  # ((x, y), ...) in normalized coords
-    falloff: float = 1.05
-    phases: tuple = ()  # per-channel constant phase, radians
+    falloff: float
+    phases: tuple  # per-channel constant phase, radians
 
     def __post_init__(self):
         if len(self.centers) < 2:
             raise ValueError("coil array needs at least 2 channels")
         if self.falloff <= 0:
             raise ValueError("falloff width must be positive")
-        if self.phases and len(self.phases) != len(self.centers):
+        if len(self.phases) != len(self.centers):
             raise ValueError("phases length must match centers")
 
     @property
@@ -127,9 +127,8 @@ def make_sensitivities(spec, shape):
     """Gaussian-falloff sensitivities s_i = exp(-d_i^2 / 2w^2) exp(i phi_i)."""
     h, w = shape
     x, y = _grid(h, w)
-    phases = spec.phases if spec.phases else (0.0,) * spec.n_channels
     sens = np.empty((spec.n_channels, h, w), dtype=np.complex128)
-    for i, ((cx, cy), phi) in enumerate(zip(spec.centers, phases)):
+    for i, ((cx, cy), phi) in enumerate(zip(spec.centers, spec.phases)):
         d2 = (x - cx) ** 2 + (y - cy) ** 2
         sens[i] = np.exp(-d2 / (2.0 * spec.falloff**2)) * np.exp(1j * phi)
     return sens

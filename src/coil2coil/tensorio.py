@@ -21,9 +21,10 @@ Checkpoint (.c2k) layout:
     records one container record per name, in NetworkParams.state() order
 
 Reading a malformed tensor file or checkpoint raises TensorFormatError naming
-the file.  A float32/complex64 payload holding NaN or +-inf raises it too, on
-write as on read: every array these files hand the program is finite, and
-nothing downstream rescans.
+the file; a checkpoint is malformed too when its config fails NetworkConfig's
+checks or a batch-norm running variance is negative.  A float32/complex64
+payload holding NaN or +-inf raises it too, on write as on read: every array
+these files hand the program is finite, and nothing downstream rescans.
 """
 
 from __future__ import annotations
@@ -213,6 +214,9 @@ def _checkpoint(buf):
     params = init_network(config, np.random.default_rng(0))
     for name, arr in params.state():
         np.copyto(arr, _stored(arrays, name, arr.shape))
+    for i, var in enumerate(params.bn_var):
+        if (var < 0).any():
+            raise TensorFormatError(f"bn{i}.var holds a negative running variance")
     # older checkpoints carry a bias on the conv feeding each batch norm; it
     # only shifts the pre-norm values, so fold it into the running mean
     for i, mean in enumerate(params.bn_mean):

@@ -8,19 +8,19 @@ Modes:
   N2CL -- noisy full combination vs the clean combined magnitude.
 
 The C2C loss weights prediction and label by the pair's sensitivity maps
-so both sides share one noise-free image; for N2N/N2CL the maps are 1 and
-it reduces to a masked MSE.
+so both sides share one noise-free image; N2N and N2CL pairs, and C2C pairs
+with normalization off (ablation), carry unit maps, so it is their masked MSE.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import network as net
-from .imaging import coil_combine, effective_sensitivity, magnitude
+from .imaging import check_mask, coil_combine, effective_sensitivity
 from .metrics import psnr
 from .pairs import SENS_FLOOR, TrainingPair, combine_all, make_training_pair, split_channels
 from .simulate import make_mask
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 MODES = ("C2C", "N2N", "N2CL")
+MODE_NEEDS = {"N2N": "a second noise realization per slice", "N2CL": "clean images"}
 SENS_EPS = 1e-12  # floor of a group's sensitivity, relative to its peak
 SPLIT_CANDIDATES = 8  # random splits scored by two-group inference
 
@@ -59,6 +60,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.validate_every < 0:
+            raise ValueError("validate_every must be >= 0")
 
 
 @dataclass
@@ -76,23 +79,22 @@ class TrainLog:
         ]
 
 
-def c2c_loss(pred, pair: TrainingPair, normalize=True):
+def c2c_loss(pred, pair: TrainingPair):
     """Sensitivity-weighted masked L2 loss and its gradient in pred.
 
-    For one pair, loss = mean_{mask} (S_label * pred - S_in * label)^2; with
-    normalize off both maps are replaced by 1 (ablation).  pred and the
-    pair's arrays are (H, W) for one pair or (N, H, W) for a batch: each
-    pair's masked mean is taken over the last two axes, the loss is their
-    mean over the batch (summed in batch order), and grad is its gradient.
+    For one pair, loss = mean_{mask} (S_label * pred - S_in * label)^2; for a
+    pair with unit maps it is the masked MSE.  pred and the pair's arrays
+    are (H, W) for one pair or (N, H, W) for a batch: each pair's masked
+    mean is taken over the last two axes, the loss is their mean over the
+    batch (summed in batch order), and grad is its gradient.
     """
     mask = pair.mask
     n = np.count_nonzero(mask, axis=(-2, -1))
     if np.any(n == 0):
         raise ValueError("empty mask in loss")
-    s_lab, s_in = (pair.sens_label, pair.sens_in) if normalize else (1.0, 1.0)
-    resid = np.where(mask, s_lab * pred - s_in * pair.image_label, 0.0)
+    resid = np.where(mask, pair.sens_label * pred - pair.sens_in * pair.image_label, 0.0)
     losses = np.atleast_1d(np.sum(resid**2, axis=(-2, -1)) / n)
-    grad = 2.0 * s_lab * resid / n[..., None, None] / len(losses)
+    grad = 2.0 * pair.sens_label * resid / n[..., None, None] / len(losses)
     return sum(losses.tolist()) / len(losses), grad
 
 
@@ -109,32 +111,36 @@ def _input_scale(image, mask=None):
 
 
 def _epoch_pairs(slices, config, rng):
-    """One epoch's pairs as one TrainingPair of (N, H, W) arrays, and the C2C
-    splits drawn.  Each pair's input and label are divided by the input's
-    scale, so the network input has unit masked std and the loss minimizer
-    is unchanged; inference applies the same rule to its own input."""
+    """One epoch's pairs as one TrainingPair, and the C2C splits drawn.
+
+    Every field is stacked: the arrays to (N, H, W), the coverages and
+    fallback counts to (N,).  N2N pairs the input with the combination of
+    the second noise realization, N2CL with the clean image; both, and C2C
+    with normalization off, carry unit maps.  Each pair's input and label
+    are divided by the input's scale, so the network input has unit masked
+    std and the loss minimizer is unchanged; inference applies the same
+    rule to its own input.
+    """
     pairs = []
     splits = []
     for data in slices:
+        ones = np.ones(np.shape(data.mask))
         if config.mode == "C2C":
             split = split_channels(data.stack.shape[0], rng)
             splits.append(split)
             p = make_training_pair(data.stack, data.sens, data.psi, split, data.mask, whiten=config.whiten)
-        elif config.mode == "N2N":
-            if data.stack_b is None:
-                raise ValueError("N2N mode needs a second noise realization per slice")
-            img_in = combine_all(data.stack, data.sens)
-            ones = np.ones_like(img_in)
-            p = TrainingPair(img_in, combine_all(data.stack_b, data.sens), ones, ones, data.mask)
-        else:  # N2CL
-            if data.clean is None:
-                raise ValueError("N2CL mode needs clean images")
-            img_in = combine_all(data.stack, data.sens)
-            ones = np.ones_like(img_in)
-            p = TrainingPair(img_in, data.clean, ones, ones, data.mask)
+            if not config.normalize:
+                p = replace(p, sens_in=ones, sens_label=ones)
+        else:
+            second = data.stack_b if config.mode == "N2N" else data.clean
+            if second is None:
+                raise ValueError(f"{config.mode} mode needs {MODE_NEEDS[config.mode]}")
+            label = combine_all(second, data.sens) if config.mode == "N2N" else second
+            p = TrainingPair(combine_all(data.stack, data.sens), label, ones, ones, data.mask)
         s = _input_scale(p.image_in, p.mask)
-        pairs.append((p.image_in / s, p.image_label / s, p.sens_in, p.sens_label, p.mask))
-    return TrainingPair(*(np.stack(arrays) for arrays in zip(*pairs))), splits
+        pairs.append(replace(p, image_in=p.image_in / s, image_label=p.image_label / s))
+    stacked = (np.stack([getattr(p, f.name) for p in pairs]) for f in fields(TrainingPair))
+    return TrainingPair(*stacked), splits
 
 
 def train(slices, net_config, config, val_slices=None):
@@ -166,7 +172,7 @@ def train(slices, net_config, config, val_slices=None):
         for start in range(0, n, config.batch_size):
             batch = pairs[order[start : start + config.batch_size]]
             out, cache = net.forward(params, batch.image_in, train=True)
-            batch_loss, grads_out = c2c_loss(out, batch, normalize=config.normalize)
+            batch_loss, grads_out = c2c_loss(out, batch)
             grads = net.backward(params, cache, grads_out)
             net.adam_step(params, grads, state, lr)
             epoch_losses.append(batch_loss)
@@ -192,9 +198,13 @@ def validate(params, val_slices):
 
 
 def denoise_image(params, image, mask=None):
-    """Denoise a pre-combined magnitude image (DICOM-style input): an
+    """Denoise a pre-combined 2-D magnitude image (DICOM-style input): an
     eval-mode forward with the per-image scale normalization undone."""
     img = np.asarray(image, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"image must be 2-D, got shape {img.shape}")
+    if mask is not None:
+        mask = check_mask(mask, img.shape)
     s = _input_scale(img, mask)
     out, _ = net.forward(params, (img / s)[None], train=False)
     return out[0] * s
@@ -233,7 +243,7 @@ def denoise_two_group_average(params, stack, sens, rng, mask=None):
             split, best = cand, score
     outs = []
     for group in (split.group_j, split.group_k):
-        img = magnitude(coil_combine(stack, sens_arr, group))
+        img = np.abs(coil_combine(stack, sens_arr, group))
         s_g = effective_sensitivity(sens_arr, group)
         floor = SENS_EPS * s_g.max() if s_g.max() > 0 else 1.0
         ratio = s_full / np.maximum(s_g, floor)

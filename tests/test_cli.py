@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coil2coil.cli import cli_main
+from coil2coil.metrics import paired_t_test, psnr, ssim
 from coil2coil.network import NetworkConfig, init_network
 from coil2coil.tensorio import read_tensor, save_checkpoint, tensor_bytes, write_tensor
 
@@ -150,6 +151,90 @@ class TestTrainDenoiseEval:
             _, _, p, s = row.split(",")
             assert p == "inf"
             assert float(s) == pytest.approx(1.0, abs=1e-12)
+
+    def test_eval_files_match_the_metric_functions(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        ref = rng.uniform(0.2, 1.0, (12, 12)).astype(np.float32)
+        mask = np.zeros((12, 12), bool)
+        mask[2:10, 1:11] = True
+        write_tensor(tmp_path / "ref.c2t", ref)
+        write_tensor(tmp_path / "mask.c2t", mask)
+        sets = {}
+        for name, noise in (("a", 0.05), ("b", 0.1)):
+            imgs = [(ref + noise * k * rng.standard_normal(ref.shape)).astype(np.float32) for k in (1, 2, 3)]
+            for i, img in enumerate(imgs):
+                write_tensor(tmp_path / f"{name}{i}.c2t", img)
+            sets[name] = imgs
+        ev = tmp_path / "ev"
+        code = cli_main([
+            "eval", "--ref", str(tmp_path / "ref.c2t"), "--mask", str(tmp_path / "mask.c2t"),
+            "--images", ",".join(str(tmp_path / f"a{i}.c2t") for i in range(3)),
+            "--images-b", ",".join(str(tmp_path / f"b{i}.c2t") for i in range(3)), "--out", str(ev),
+        ])
+        assert code == 0
+        scores = {
+            name: [(psnr(img, ref, mask), ssim(img, ref, mask)) for img in imgs]
+            for name, imgs in sets.items()
+        }
+        want = ["set,index,psnr_db,ssim"] + [
+            f"{name},{i},{p:.12g},{q:.12g}" for name, vals in scores.items() for i, (p, q) in enumerate(vals)
+        ]
+        assert (ev / "metrics.csv").read_text().splitlines() == want
+        (pa, sa), (pb, sb) = (list(zip(*scores[name])) for name in "ab")
+        want = ["metric,t,p"] + [
+            f"{m},{t:.12g},{pv:.12g}" for m, (t, pv) in (("psnr", paired_t_test(pa, pb)), ("ssim", paired_t_test(sa, sb)))
+        ]
+        assert (ev / "ttest.csv").read_text().splitlines() == want
+        assert capsys.readouterr().out == (
+            f"eval: pSNR {np.mean(pa):.2f} +/- {np.std(pa, ddof=1):.2f} dB, "
+            f"SSIM {np.mean(sa):.4f} +/- {np.std(sa, ddof=1):.4f}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [
+            ("image-mask-shape", "mask shape"),
+            ("stack-mask-shape", "mask shape"),
+            ("empty-mask", "no true voxels"),
+            ("1-d-image", "2-D"),
+        ],
+    )
+    def test_denoise_refuses_bad_masks_and_images(self, tmp_path, capsys, case, match):
+        ckpt = tmp_path / "ckpt.c2k"
+        save_checkpoint(ckpt, init_network(NetworkConfig(depth=3, features=2), np.random.default_rng(0)))
+        files = {name: tmp_path / f"{name}.c2t" for name in ("image", "stack", "sens", "mask")}
+        write_tensor(files["image"], np.ones(8) if case == "1-d-image" else np.ones((8, 8)))
+        write_tensor(files["stack"], np.ones((2, 8, 8), complex))
+        write_tensor(files["sens"], np.ones((2, 8, 8), complex))
+        mask = np.zeros((8, 8), bool) if case == "empty-mask" else np.ones((8, 9), bool)
+        write_tensor(files["mask"], mask)
+        inputs = ["--stack", str(files["stack"]), "--sens", str(files["sens"])] if case.startswith("stack") else [
+            "--image", str(files["image"])]
+        if case != "1-d-image":
+            inputs += ["--mask", str(files["mask"])]
+        code = cli_main(["denoise", "--checkpoint", str(ckpt), *inputs, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("which", ["denoise-image", "eval-ref", "eval-images", "eval-images-b"])
+    def test_complex_image_is_refused(self, tmp_path, capsys, which):
+        ckpt = tmp_path / "ckpt.c2k"
+        save_checkpoint(ckpt, init_network(NetworkConfig(depth=3, features=2), np.random.default_rng(0)))
+        real, cplx, mask = tmp_path / "real.c2t", tmp_path / "cplx.c2t", tmp_path / "mask.c2t"
+        write_tensor(real, np.ones((8, 8)))
+        write_tensor(cplx, np.ones((8, 8)) + 0.5j)
+        write_tensor(mask, np.ones((8, 8), bool))
+        if which == "denoise-image":
+            argv = ["denoise", "--checkpoint", str(ckpt), "--image", str(cplx)]
+        else:
+            argv = ["eval", "--mask", str(mask)]
+            for key in ("ref", "images", "images-b"):
+                path = cplx if which == f"eval-{key}" else real
+                argv += [f"--{key}", str(path) if key == "ref" else f"{real},{path}"]
+        code = cli_main([*argv, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "cplx.c2t" in capsys.readouterr().err
 
     def test_denoise_argument_validation(self, tmp_path, tiny_config):
         run = tmp_path / "t"

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coil2coil.config import DEFAULTS, ConfigError, load_config, parse_config
+from coil2coil.network import NetworkConfig
+from coil2coil.train import TrainConfig
 
 
 class TestDefaults:
@@ -72,6 +74,22 @@ class TestParsing:
             parse_config("[noise]\nsigma = loud\n")
         with pytest.raises(ConfigError, match="expected boolean"):
             parse_config("[training]\nwhiten = maybe\n")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("training", "validate_every", "-1"),
+            ("network", "bn_eps", "-1e-5"),
+            ("network", "bn_eps", "0"),
+            ("network", "bn_momentum", "1.5"),
+        ],
+    )
+    def test_out_of_range_values_are_refused_by_their_config(self, section, key, value):
+        cfg = parse_config(f"[{section}]\n{key} = {value}\n")[section]
+        if section == "training":
+            cfg = {k: v for k, v in cfg.items() if k not in ("slices", "val_slices")}
+        with pytest.raises(ValueError, match=key):
+            (TrainConfig if section == "training" else NetworkConfig)(**cfg)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_floats_rejected(self, value):

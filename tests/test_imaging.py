@@ -7,7 +7,6 @@ from coil2coil.imaging import (
     VoxelStats,
     coil_combine,
     effective_sensitivity,
-    magnitude,
     propagate_noise_stats,
 )
 
@@ -72,17 +71,6 @@ class TestCoilCombine:
             coil_combine(stack, sens, [7])
         with pytest.raises(ValueError):
             coil_combine(stack, sens[:, :4, :4], [0])
-
-
-class TestMagnitude:
-    def test_values(self):
-        assert magnitude(np.array([[3 + 4j]]))[0, 0] == 5.0
-        assert magnitude(np.array([[0j]]))[0, 0] == 0.0
-
-    def test_matches_formula(self):
-        rng = np.random.default_rng(4)
-        img = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        assert np.allclose(magnitude(img), np.sqrt(img.real**2 + img.imag**2))
 
 
 class TestEffectiveSensitivity:

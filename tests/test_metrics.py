@@ -10,7 +10,6 @@ from coil2coil.metrics import (
     SSIM_K2,
     SSIM_SIGMA,
     SSIM_WINDOW,
-    MetricReport,
     paired_t_test,
     psnr,
     ssim,
@@ -192,17 +191,3 @@ class TestPairedTTest:
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
 
-
-class TestMetricReport:
-    def test_summary_and_rows(self):
-        rng = np.random.default_rng(9)
-        ref = rng.uniform(0.2, 1.0, (16, 16))
-        mask = full_mask(ref.shape)
-        rep = MetricReport()
-        rep.add(ref + 0.05 * rng.standard_normal(ref.shape), ref, mask)
-        rep.add(ref + 0.10 * rng.standard_normal(ref.shape), ref, mask)
-        s = rep.summary()
-        assert s["psnr_mean"] == pytest.approx(np.mean(rep.psnr_values))
-        assert s["ssim_std"] == pytest.approx(np.std(rep.ssim_values, ddof=1))
-        rows = rep.rows()
-        assert [r[0] for r in rows] == [0, 1]

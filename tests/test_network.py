@@ -51,6 +51,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig(leaky_slope=1.5)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{"bn_eps": -1e-5}, {"bn_eps": 0.0}, {"bn_momentum": 1.5}, {"bn_momentum": -0.1}],
+        ids=["negative-eps", "zero-eps", "momentum-above-one", "negative-momentum"],
+    )
+    def test_batch_norm_settings_are_range_checked(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            NetworkConfig(**kw)
+
+    @pytest.mark.parametrize("momentum", [0.0, 1.0])
+    def test_momentum_bounds_are_accepted(self, momentum):
+        assert NetworkConfig(bn_momentum=momentum).bn_momentum == momentum
+
 
 class TestInit:
     def test_xavier_bound_and_variance(self):
@@ -291,11 +304,11 @@ class TestAdam:
 
 class TestLrSchedule:
     def test_values(self):
-        assert lr_schedule(0) == pytest.approx(1e-4)
-        assert lr_schedule(1) == pytest.approx(8.7e-5)
-        assert lr_schedule(10) == pytest.approx(1e-4 * 0.87**10)
+        assert lr_schedule(0, 1e-4, 0.87) == pytest.approx(1e-4)
+        assert lr_schedule(1, 1e-4, 0.87) == pytest.approx(8.7e-5)
+        assert lr_schedule(10, 1e-4, 0.87) == pytest.approx(1e-4 * 0.87**10)
         assert lr_schedule(3, base_lr=2e-3, decay=0.5) == pytest.approx(2.5e-4)
 
     def test_negative_epoch(self):
         with pytest.raises(ValueError):
-            lr_schedule(-1)
+            lr_schedule(-1, 1e-4, 0.87)

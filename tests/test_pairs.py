@@ -165,6 +165,21 @@ class TestMakeTrainingPair:
         assert np.allclose(on.image_label, off.image_label, rtol=1e-12)
         assert np.allclose(on.sens_label, off.sens_label, rtol=1e-12)
 
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_unwhitened_label_is_the_raw_group_k_combination(self, m):
+        # whiten off is the label formula with (alpha, beta) = (0, 1): label
+        # and map equal |combination of K| and S_k byte for byte
+        from coil2coil.imaging import coil_combine, effective_sensitivity
+
+        scene = SyntheticScene(m=m)
+        stack = synthesize_acquisition(scene.phantom, scene.sens, scene.psi, scene.rng)
+        split = split_channels(m, scene.rng)
+        pair = make_training_pair(stack, scene.sens, scene.psi, split, scene.mask, whiten=False)
+        raw = np.abs(coil_combine(stack, scene.sens, split.group_k))
+        assert pair.image_label.tobytes() == raw.tobytes()
+        assert pair.sens_label.tobytes() == effective_sensitivity(scene.sens, split.group_k).tobytes()
+        assert pair.n_fallback == 0
+
     def test_split_mismatch_rejected(self):
         scene = SyntheticScene()
         bad = ChannelSplit((0,), (1,))

@@ -60,7 +60,7 @@ class TestMakePhantom:
 
 class TestMakeSensitivities:
     def test_flat_falloff(self):
-        spec = CoilSpec(centers=((0, 0), (0, 0)), falloff=1e6)
+        spec = CoilSpec(centers=((0, 0), (0, 0)), falloff=1e6, phases=(0, 0))
         sens = make_sensitivities(spec, (8, 8))
         assert np.allclose(np.abs(sens), 1.0)
 
@@ -72,7 +72,7 @@ class TestMakeSensitivities:
 
     def test_corner_channels_peak_at_their_corner(self):
         corners = ((-1, -1), (1, -1), (-1, 1), (1, 1))
-        spec = CoilSpec(centers=corners, falloff=0.7)
+        spec = CoilSpec(centers=corners, falloff=0.7, phases=(0,) * 4)
         sens = make_sensitivities(spec, (9, 9))
         # grid index of each corner: (row, col) with row ~ y, col ~ x
         expect = {0: (0, 0), 1: (0, 8), 2: (8, 0), 3: (8, 8)}

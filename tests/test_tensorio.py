@@ -227,6 +227,12 @@ def _complex_tensor(header, arrays):
     return header
 
 
+def _negative_variance(header, arrays):
+    arrays["bn0.var"] = arrays["bn0.var"].copy()
+    arrays["bn0.var"][1] = -0.5
+    return header
+
+
 def _set_config(key, value):
     def corrupt(header, arrays):
         header["config"][key] = value
@@ -251,12 +257,17 @@ class TestCheckpoint:
             _set_config("features", float("nan")),
             _set_config("bn_eps", 10**400),
             lambda header, arrays: "[" * 100_000,
+            _negative_variance,
+            _set_config("bn_eps", -1),
+            _set_config("bn_eps", 0.0),
+            _set_config("bn_momentum", 1.5),
         ],
         ids=[
             "missing-tensor", "wrong-shape", "complex-tensor", "list-header",
             "no-config", "no-tensors", "unknown-config-key",
             "float-depth", "float-kernel-size", "nan-features", "eps-past-float-range",
-            "deeply-nested-header",
+            "deeply-nested-header", "negative-running-variance", "negative-bn-eps",
+            "zero-bn-eps", "bn-momentum-above-one",
         ],
     )
     def test_malformed_checkpoint(self, tmp_path, corrupt):

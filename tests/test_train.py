@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coil2coil.datasets import SliceData
 from coil2coil.network import NetworkConfig, init_network
-from coil2coil.pairs import TrainingPair, combine_all
+from coil2coil.pairs import TrainingPair, combine_all, make_training_pair, split_channels
 from coil2coil.simulate import (
     CoilSpec,
     NoiseSpec,
@@ -16,6 +18,7 @@ from coil2coil.simulate import (
 )
 from coil2coil.train import (
     TrainConfig,
+    _epoch_pairs,
     _input_scale,
     c2c_loss,
     denoise,
@@ -36,6 +39,11 @@ def random_pair(rng, shape=(6, 6)):
         sens_label=rng.uniform(0.5, 1.5, shape),
         mask=mask,
     )
+
+
+def unit_maps(pair):
+    ones = np.ones_like(pair.image_in)
+    return replace(pair, sens_in=ones, sens_label=ones)
 
 
 def tiny_slices(n=4, grid=16, m=4, sigma=0.5, seed=0, with_second=False):
@@ -70,9 +78,11 @@ class TestLoss:
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_unnormalized_is_masked_mse(self):
-        pair = random_pair(np.random.default_rng(1))
+        # a pair with unit maps, as N2N, N2CL and the normalization-off
+        # ablation build them
+        pair = unit_maps(random_pair(np.random.default_rng(1)))
         pred = np.random.default_rng(2).uniform(0.5, 2.0, pair.image_in.shape)
-        loss, _ = c2c_loss(pred, pair, normalize=False)
+        loss, _ = c2c_loss(pred, pair)
         want = np.mean((pred[pair.mask] - pair.image_label[pair.mask]) ** 2)
         assert loss == pytest.approx(want, rel=1e-12)
 
@@ -94,7 +104,9 @@ class TestLoss:
     def test_batch_equals_the_per_pair_loop(self, size, normalize):
         # the oracle is the per-pair loss and loop the training step ran
         # before one call served a batch: the mean of the losses in batch
-        # order, each gradient over the batch size; masks of different counts
+        # order, each gradient over the batch size; masks of different counts.
+        # With normalize off the batch holds unit-map pairs, as _epoch_pairs
+        # builds them for the ablation.
         rng = np.random.default_rng(size)
         pairs = [random_pair(rng) for _ in range(size)]
         for k, p in enumerate(pairs):
@@ -112,9 +124,10 @@ class TestLoss:
         grad_ref /= size
 
         batch = TrainingPair(*(np.stack(a) for a in zip(*(
-            (p.image_in, p.image_label, p.sens_in, p.sens_label, p.mask) for p in pairs
+            (p.image_in, p.image_label, p.sens_in, p.sens_label, p.mask)
+            for p in (pairs if normalize else map(unit_maps, pairs))
         ))))
-        loss, grad = c2c_loss(pred, batch, normalize=normalize)
+        loss, grad = c2c_loss(pred, batch)
         assert loss.hex() == loss_ref.hex()
         assert grad.tobytes() == grad_ref.tobytes()
         assert len({int(np.count_nonzero(p.mask)) for p in pairs}) == min(size, 3)
@@ -188,6 +201,38 @@ class TestTrainLoop:
         assert len(rows) == 2 and rows[0][0] == 0
 
 
+class TestEpochPairs:
+    @pytest.mark.filterwarnings("ignore:degenerate pair")
+    def test_stack_carries_each_pairs_diagnostics(self):
+        # each channel sees one half-plane, so a group can miss a quadrant:
+        # coverages below 1 and fallback voxels.  The same rng draws the same
+        # splits, so the stack's diagnostics equal the pairs' built one by one.
+        slices = tiny_slices(n=3)
+        half = np.ones((4, 16, 16))
+        half[0, :, 8:] = half[1, :, :8] = half[2, 8:] = half[3, :8] = 0.0
+        for data in slices:
+            data.sens = data.sens * half
+        stacked, splits = _epoch_pairs(slices, TrainConfig(epochs=1), np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        own = []
+        for data in slices:
+            split = split_channels(data.stack.shape[0], rng)
+            own.append(make_training_pair(data.stack, data.sens, data.psi, split, data.mask))
+        assert min(p.coverage_k for p in own) < 1.0 and max(p.n_fallback for p in own) > 0
+        for name in ("coverage_j", "coverage_k", "n_fallback"):
+            assert getattr(stacked, name).shape == (3,)
+            assert getattr(stacked, name).tolist() == [getattr(p, name) for p in own]
+        assert stacked[[2, 0]].coverage_j.tolist() == [own[2].coverage_j, own[0].coverage_j]
+
+    def test_unit_maps_unless_normalized_c2c(self):
+        slices = tiny_slices(n=2, with_second=True)
+        for kw in ({"normalize": False}, {"mode": "N2N"}, {"mode": "N2CL"}):
+            pairs, _ = _epoch_pairs(slices, TrainConfig(epochs=1, **kw), np.random.default_rng(0))
+            assert np.all(pairs.sens_in == 1.0) and np.all(pairs.sens_label == 1.0)
+        pairs, _ = _epoch_pairs(slices, TrainConfig(epochs=1), np.random.default_rng(0))
+        assert not np.all(pairs.sens_in == 1.0)
+
+
 class TestInputScale:
     def test_derived_mask_gives_the_given_mask_scale(self):
         # noise-free, make_mask of the combined image recovers the simulated
@@ -238,6 +283,19 @@ class TestInference:
                 params, np.ones((1, 8, 8), complex), np.ones((1, 8, 8), complex),
                 np.random.default_rng(0),
             )
+
+    @pytest.mark.parametrize(
+        "image, mask, match",
+        [
+            (np.ones(16), None, "2-D"),
+            (np.ones((8, 8)), np.ones((8, 9), bool), "mask shape"),
+            (np.ones((8, 8)), np.zeros((8, 8), bool), "no true voxels"),
+        ],
+        ids=["1-d-image", "mask-shape", "empty-mask"],
+    )
+    def test_denoise_image_checks_its_inputs(self, image, mask, match):
+        with pytest.raises(ValueError, match=match):
+            denoise_image(identity_params(), image, mask=mask)
 
     def test_validate_returns_mean_psnr(self):
         params = identity_params()
