@@ -81,6 +81,14 @@ def _read_real(path):
     return arr.astype(np.float64)
 
 
+def _read_mask(path):
+    """A bool mask tensor; a float or complex one is refused, not cast."""
+    arr = tensorio.read_tensor(path)
+    if arr.dtype != np.bool_:
+        raise ValueError(f"{path}: expected a bool mask, got a {arr.dtype} tensor")
+    return arr
+
+
 def _cmd_simulate(args):
     cfg = load_config(args.config)
     rng = np.random.default_rng(args.seed)
@@ -156,7 +164,7 @@ def _cmd_train(args):
 
 def _cmd_denoise(args):
     params = tensorio.load_checkpoint(args.checkpoint)
-    mask = tensorio.read_tensor(args.mask).astype(bool) if args.mask else None
+    mask = _read_mask(args.mask) if args.mask else None
     if args.image is not None:
         result = denoise_image(params, _read_real(args.image), mask=mask)
     elif args.stack is not None and args.sens is not None:
@@ -183,18 +191,19 @@ def _mean_std(values):
 
 def _cmd_eval(args):
     ref = _read_real(args.ref)
-    mask = tensorio.read_tensor(args.mask).astype(bool)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
+    mask = _read_mask(args.mask)
     sets = {"a": args.images} | ({"b": args.images_b} if args.images_b else {})
     scores = {}  # set -> (pSNRs, SSIMs), one value per image
     for name, paths in sets.items():
         images = (_read_real(Path(p)) for p in paths.split(","))
         scores[name] = tuple(zip(*[(psnr(img, ref, mask), ssim(img, ref, mask)) for img in images]))
     rows = [(name, i, p, s) for name, (ps, ss) in scores.items() for i, (p, s) in enumerate(zip(ps, ss))]
+    # empty without --images-b; run before any file is written, so a refused test leaves none
+    t_rows = [(m, *paired_t_test(a, b)) for m, a, b in zip(("psnr", "ssim"), scores["a"], scores.get("b", ()))]
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "metrics.csv", ["set", "index", "psnr_db", "ssim"], rows)
-    if "b" in scores:
-        t_rows = [(m, *paired_t_test(a, b)) for m, a, b in zip(("psnr", "ssim"), scores["a"], scores["b"])]
+    if t_rows:
         _write_csv(out / "ttest.csv", ["metric", "t", "p"], t_rows)
     (p_mean, p_std), (s_mean, s_std) = (_mean_std(v) for v in scores["a"])
     print(f"eval: pSNR {p_mean:.2f} +/- {p_std:.2f} dB, SSIM {s_mean:.4f} +/- {s_std:.4f}")

@@ -85,7 +85,8 @@ def paired_t_test(a, b):
     """Two-sided paired t-test on equal-length sequences.
 
     Returns (t, p) with t = mean(d) / (sd(d)/sqrt(n)) for d = a - b and p
-    from the t distribution with n-1 degrees of freedom.
+    from the t distribution with n-1 degrees of freedom.  Every score must
+    be finite.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -94,6 +95,8 @@ def paired_t_test(a, b):
     n = a.size
     if n < 2:
         raise ValueError("paired t-test needs at least 2 pairs")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("paired t-test needs finite scores; an image equal to its reference has infinite pSNR")
     d = a - b
     sd = float(d.std(ddof=1))
     if sd == 0.0:

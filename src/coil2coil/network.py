@@ -3,8 +3,8 @@
 Architecture: conv -> leaky ReLU, then (conv -> batch norm -> leaky ReLU)
 repeated depth-2 times, then a final conv, with a skip connection adding
 the network input to the final conv output.  Single image channel in and
-out; all arithmetic in float64 so gradients can be checked against central
-finite differences.
+out.  It computes in the dtype of its parameters: float32 from init_network
+and checkpoints, float64 in gradient_check's finite-difference comparison.
 
 Activations are channels-last, (N, H, W, C).  Every convolution -- the
 forward pass and both gradients -- is im2col + GEMM over cache-sized
@@ -13,14 +13,14 @@ not its patches, and the weight gradient rebuilds them.  Leaky ReLU and
 batch norm work in place on the fresh conv output (and leaky ReLU's
 backward on the fresh gradient), in the same operation order as their
 out-of-place formulas, so they save full-size temporaries without
-changing a bit.  Only the first and the last conv carry a bias: a bias
-feeding batch norm is cancelled by its mean subtraction, so it would be
-a dead parameter.
+changing a bit; eval-mode batch norm is folded into its conv's kernel and
+a bias.  Only the first and the last conv carry a bias: a bias feeding
+batch norm is cancelled by its mean subtraction, so it would be a dead
+parameter.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
@@ -100,8 +100,10 @@ class NetworkParams:
     bn_mean: list  # running statistics
     bn_var: list
 
-    def copy(self):
-        return copy.deepcopy(self)
+    def astype(self, dtype):
+        """A copy with every array cast to dtype."""
+        lists = (f.name for f in fields(self) if f.name != "config")
+        return NetworkParams(self.config, **{n: [a.astype(dtype) for a in getattr(self, n)] for n in lists})
 
     def flat(self):
         """Trainable parameter arrays as (name, array) pairs, in a fixed order."""
@@ -145,17 +147,14 @@ def _layer_channels(config):
 
 
 def init_network(config, rng):
-    """Xavier-uniform kernels (bound sqrt(6/(fan_in+fan_out))), zero biases,
-    batch-norm scale 1 / shift 0, running stats (0, 1)."""
+    """Float32 Xavier-uniform kernels (bound sqrt(6/(fan_in+fan_out)), drawn
+    in float64), zero biases, batch-norm scale 1 / shift 0, running stats (0, 1)."""
     k = config.kernel_size
     weights = []
     for c_in, c_out in _layer_channels(config):
-        fan_in = c_in * k * k
-        fan_out = c_out * k * k
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        bound = np.sqrt(6.0 / ((c_in + c_out) * k * k))  # fan_in + fan_out
         weights.append(rng.uniform(-bound, bound, size=(c_out, c_in, k, k)))
-    f = config.features
-    n_bn = config.depth - 2
+    f, n_bn = config.features, config.depth - 2
     return NetworkParams(
         config=config,
         weights=weights,
@@ -164,11 +163,11 @@ def init_network(config, rng):
         bn_shift=[np.zeros(f) for _ in range(n_bn)],
         bn_mean=[np.zeros(f) for _ in range(n_bn)],
         bn_var=[np.ones(f) for _ in range(n_bn)],
-    )
+    ).astype(np.float32)
 
 
-# Entries (8 B each) of one block of patch rows, 1 MiB: it stays in L2 and
-# is reused from the heap, where one whole-image patch matrix (42 MB at
+# Entries of one block of patch rows, 512 KiB at float32: it stays in L2
+# and is reused from the heap, where one whole-image patch matrix (21 MB at
 # 192x192x16) is fresh memory whose page faults cost as much as its GEMM.
 _BLOCK_ELEMS = 1 << 17
 
@@ -179,7 +178,7 @@ def _patch_blocks(x, k):
     zero-padded (rows * W, k*k*C) im2col matrix, C innermost."""
     n, h, wd, c = x.shape
     p = (k - 1) // 2
-    xp = np.zeros((n, h + 2 * p, wd + 2 * p, c))
+    xp = np.zeros((n, h + 2 * p, wd + 2 * p, c), x.dtype)
     xp[:, p : p + h, p : p + wd] = x
     win = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
     rows = max(1, _BLOCK_ELEMS // (wd * k * k * c))
@@ -193,7 +192,7 @@ def _conv(x, w):
     w (F, C, k, k): one GEMM per patch block, into y (N, H, W, F)."""
     f, c, k, _ = w.shape
     wmat = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
-    y = np.empty(x.shape[:3] + (f,))
+    y = np.empty(x.shape[:3] + (f,), x.dtype)
     for i, patches in _patch_blocks(x, k):
         np.matmul(patches, wmat, out=y[i].reshape(-1, f))
     return y
@@ -238,12 +237,13 @@ def _bn_backward(dy, cache):
 def forward(params, batch, train=False):
     """Run the network on a batch of real images (N, H, W).
 
-    Returns (outputs, cache).  Train mode normalizes with batch statistics,
-    updates the running statistics in place and caches what backward
-    needs; eval mode uses running statistics, leaves params untouched and
-    caches nothing but the input shape.
+    Returns (outputs, cache) in the parameters' dtype.  Train mode
+    normalizes with batch statistics, updates the running statistics in
+    place and caches what backward needs; eval mode folds the running
+    statistics into the conv, leaves params untouched and caches nothing
+    but the input shape.
     """
-    batch = np.asarray(batch, dtype=np.float64)
+    batch = np.asarray(batch, dtype=params.weights[0].dtype)
     if batch.ndim == 2:
         batch = batch[None]
     if batch.ndim != 3 or batch.shape[0] < 1:
@@ -254,12 +254,15 @@ def forward(params, batch, train=False):
     mom = cfg.bn_momentum
     x = batch[..., None]  # (N, H, W, 1)
     for i, w in enumerate(params.weights):
+        j = i - 1  # batch-norm index of a middle layer
         if train:
             cache["inputs"].append(x)
+        elif 0 < i < last:  # eval batch norm is conv(x, w*g) + shift - mean*g
+            g = params.bn_scale[j] / np.sqrt(params.bn_var[j] + cfg.bn_eps)
+            w, folded = w * g[:, None, None, None], params.bn_shift[j] - params.bn_mean[j] * g
         y = _conv(x, w)
         if i == last:
             break
-        j = i - 1  # batch-norm index of a middle layer
         if i == 0:
             y += params.biases[0]
         elif train:
@@ -270,10 +273,7 @@ def forward(params, batch, train=False):
             params.bn_mean[j] = mom * params.bn_mean[j] + (1 - mom) * mean
             params.bn_var[j] = mom * params.bn_var[j] + (1 - mom) * var
         else:
-            y -= params.bn_mean[j]
-            y *= 1.0 / np.sqrt(params.bn_var[j] + cfg.bn_eps)
-            y *= params.bn_scale[j]
-            y += params.bn_shift[j]
+            y += folded
         x = _leaky_forward(y, cfg.leaky_slope)
     out = y[..., 0]
     out += params.biases[1]
@@ -290,7 +290,7 @@ def backward(params, cache, output_grads):
     if not cache.get("train"):
         raise ValueError("backward needs a cache from a train-mode forward")
     cfg = params.config
-    dy = np.asarray(output_grads, dtype=np.float64)
+    dy = np.asarray(output_grads, dtype=params.weights[0].dtype)
     if dy.shape != cache["input_shape"]:
         raise ValueError("output gradient shape does not match cached batch")
     dy = dy[..., None]
@@ -307,7 +307,7 @@ def backward(params, cache, output_grads):
                 )
         w = params.weights[i]
         f, c, k, _ = w.shape
-        dw = np.zeros((f, k * k * c))  # dy^T @ patches, block by block
+        dw = np.zeros((f, k * k * c), w.dtype)  # dy^T @ patches, block by block
         for b, patches in _patch_blocks(cache["inputs"][i], k):
             dw += dy[b].reshape(-1, f).T @ patches
         grads[f"conv{i}.weight"] = dw.reshape(f, k, k, c).transpose(0, 3, 1, 2)
@@ -344,10 +344,10 @@ def gradient_check(rng):
     """Compare backward() against central finite differences.
 
     Uses a masked quadratic loss on random data and perturbs every
-    parameter entry of GRADCHECK_CONFIG's network.  Returns the worst
-    relative error.
+    parameter entry of GRADCHECK_CONFIG's network in float64.  Returns the
+    worst relative error.
     """
-    params = init_network(GRADCHECK_CONFIG, rng)
+    params = init_network(GRADCHECK_CONFIG, rng).astype(np.float64)
     # non-trivial BN shift/scale so their gradients are exercised
     for i in range(len(params.bn_scale)):
         params.bn_scale[i] = 1.0 + 0.1 * rng.standard_normal(params.bn_scale[i].shape)
@@ -356,11 +356,11 @@ def gradient_check(rng):
     target = rng.standard_normal(GRADCHECK_BATCH)
     weight = rng.uniform(0.5, 1.5, size=GRADCHECK_BATCH)
 
-    def loss_of(p):
-        out, _ = forward(p.copy(), batch, train=True)
+    def loss_of(p):  # on a copy: train mode updates the running statistics
+        out, _ = forward(p.astype(np.float64), batch, train=True)
         return 0.5 * np.sum(weight * (out - target) ** 2)
 
-    out, cache = forward(params.copy(), batch, train=True)
+    out, cache = forward(params.astype(np.float64), batch, train=True)
     grads = backward(params, cache, weight * (out - target))
 
     worst = 0.0

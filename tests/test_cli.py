@@ -217,6 +217,41 @@ class TestTrainDenoiseEval:
         assert match in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_ttest_on_an_image_equal_to_the_reference_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        ref = rng.uniform(0.2, 1.0, (8, 8))
+        paths = {name: tmp_path / f"{name}.c2t" for name in ("ref", "mask", "a", "b")}
+        write_tensor(paths["ref"], ref)
+        write_tensor(paths["mask"], np.ones((8, 8), bool))
+        write_tensor(paths["a"], ref + 0.05 * rng.standard_normal(ref.shape))
+        write_tensor(paths["b"], ref + 0.1 * rng.standard_normal(ref.shape))
+        code = cli_main([
+            "eval", "--ref", str(paths["ref"]), "--mask", str(paths["mask"]),
+            "--images", f"{paths['a']},{paths['b']}", "--images-b", f"{paths['ref']},{paths['a']}",
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("command", ["denoise", "eval"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_non_bool_mask_is_refused(self, tmp_path, capsys, command, dtype):
+        # a mask of probabilities would count every nonzero voxel as inside
+        image, mask = tmp_path / "image.c2t", tmp_path / "mask.c2t"
+        write_tensor(image, np.ones((8, 8)))
+        write_tensor(mask, np.full((8, 8), 0.2, dtype))
+        if command == "denoise":
+            ckpt = tmp_path / "ckpt.c2k"
+            save_checkpoint(ckpt, init_network(NetworkConfig(depth=3, features=2), np.random.default_rng(0)))
+            argv = ["denoise", "--checkpoint", str(ckpt), "--image", str(image)]
+        else:
+            argv = ["eval", "--ref", str(image), "--images", str(image)]
+        code = cli_main([*argv, "--mask", str(mask), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "mask.c2t: expected a bool mask" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("which", ["denoise-image", "eval-ref", "eval-images", "eval-images-b"])
     def test_complex_image_is_refused(self, tmp_path, capsys, which):
         ckpt = tmp_path / "ckpt.c2k"

@@ -191,3 +191,12 @@ class TestPairedTTest:
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_scores_are_refused(self, bad):
+        # an image equal to its reference scores inf pSNR; the differences
+        # would then hold inf and their std nan
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([20.0, bad, 22.0], [19.0, 21.0, 20.5])
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test([19.0, 21.0, 20.5], [20.0, 22.0, bad])
+

@@ -16,6 +16,7 @@ from coil2coil.simulate import (
     random_phantom_spec,
     synthesize_acquisition,
 )
+from coil2coil.tensorio import load_checkpoint, save_checkpoint
 from coil2coil.train import (
     TrainConfig,
     _epoch_pairs,
@@ -62,7 +63,9 @@ def tiny_slices(n=4, grid=16, m=4, sigma=0.5, seed=0, with_second=False):
 
 
 def identity_params(depth=3, features=2):
+    """A network whose output is its input, in float64 so the input is not rounded."""
     params = init_network(NetworkConfig(depth=depth, features=features), np.random.default_rng(0))
+    params = params.astype(np.float64)
     params.weights[-1][:] = 0.0
     params.biases[-1][:] = 0.0
     return params
@@ -254,6 +257,17 @@ class TestInference:
         data = slices[0]
         out = denoise(params, data.stack, data.sens, mask=data.mask)
         assert np.allclose(out, combine_all(data.stack, data.sens), rtol=1e-12)
+
+    def test_checkpoint_round_trip_keeps_eval_bits(self, tmp_path):
+        # training runs the float32 model a checkpoint stores, so the loaded
+        # parameters denoise a 32x32 slice to the in-memory model's bits
+        slices = tiny_slices(n=4, grid=32)
+        params, _, _ = train(slices, NetworkConfig(depth=4, features=4), TrainConfig(epochs=2, batch_size=2))
+        save_checkpoint(tmp_path / "model.c2k", params)
+        loaded = load_checkpoint(tmp_path / "model.c2k")
+        data = slices[0]
+        want = denoise(params, data.stack, data.sens, mask=data.mask)
+        assert denoise(loaded, data.stack, data.sens, mask=data.mask).tobytes() == want.tobytes()
 
     def test_denoise_image_agrees_with_denoise(self):
         rng = np.random.default_rng(6)
