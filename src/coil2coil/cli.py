@@ -91,8 +91,9 @@ def _read_mask(path):
 
 def _cmd_simulate(args):
     cfg = load_config(args.config)
-    rng = np.random.default_rng(args.seed)
-    data = datasets.simulate_slice(cfg, rng, sigma=args.sigma)
+    if args.sigma is not None:
+        cfg["noise"]["sigma"] = args.sigma
+    data = datasets.simulate_slice(cfg, np.random.default_rng(args.seed))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     tensorio.write_tensor(out / "phantom.c2t", data.phantom)
@@ -113,6 +114,11 @@ def _cmd_pairgen(args):
     split = split_channels(data.stack.shape[0], rng)
     whiten = not args.no_whiten
     pair = make_training_pair(data.stack, data.sens, data.psi, split, data.mask, whiten=whiten)
+    # before any file is written, so a refused --realizations leaves none
+    corr_on, corr_off = empirical_noise_correlations(
+        data.phantom, data.sens, data.psi, split, data.mask, args.realizations,
+        np.random.default_rng(args.seed + 1),
+    )
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     tensorio.write_tensor(out / "input.c2t", pair.image_in)
@@ -120,11 +126,6 @@ def _cmd_pairgen(args):
     tensorio.write_tensor(out / "sens_in.c2t", pair.sens_in)
     tensorio.write_tensor(out / "sens_label.c2t", pair.sens_label)
     tensorio.write_tensor(out / "mask.c2t", pair.mask)
-
-    corr_on, corr_off = empirical_noise_correlations(
-        data.phantom, data.sens, data.psi, split, data.mask, args.realizations,
-        np.random.default_rng(args.seed + 1),
-    )
     _write_csv(
         out / "diagnostics.csv",
         ["metric", "value"],

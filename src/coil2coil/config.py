@@ -20,18 +20,8 @@ __all__ = ["DEFAULTS", "parse_config", "load_config", "ConfigError"]
 # [network] are the NoiseSpec and NetworkConfig fields, [training] the TrainConfig
 # fields but seed, plus the dataset sizes
 DEFAULTS = {
-    "phantom": {
-        "grid_size": 32,
-        "n_ellipses_min": 2,
-        "n_ellipses_max": 5,
-        "mask_threshold": 0.1,
-    },
-    "coils": {
-        "channels": 8,
-        "radius": 1.1,
-        "falloff": 1.05,
-        "use_phases": True,
-    },
+    "phantom": {"grid_size": 32},
+    "coils": {"channels": 8},
     "noise": asdict(NoiseSpec()),
     "network": asdict(NetworkConfig()),
     "training": {

@@ -18,7 +18,7 @@ from .simulate import (
     synthesize_acquisition,
 )
 
-__all__ = ["SliceData", "coil_spec_from_config", "simulate_slice", "simulate_dataset"]
+__all__ = ["SliceData", "simulate_slice", "simulate_dataset"]
 
 
 @dataclass
@@ -34,23 +34,12 @@ class SliceData:
     phantom: np.ndarray = None  # underlying complex image, when known
 
 
-def coil_spec_from_config(cfg):
-    c = cfg["coils"]
-    phases = None if c["use_phases"] else (0.0,) * c["channels"]
-    return CoilSpec.ring(c["channels"], radius=c["radius"], falloff=c["falloff"], phases=phases)
-
-
-def simulate_slice(cfg, rng, sigma=None, with_second=False):
+def simulate_slice(cfg, rng, with_second=False):
     """One synthetic acquisition as a SliceData (clean image included)."""
-    p = cfg["phantom"]
-    grid = p["grid_size"]
-    spec = random_phantom_spec(grid, rng, (p["n_ellipses_min"], p["n_ellipses_max"]))
-    phantom = make_phantom(spec)
-    mask = make_mask(phantom, p["mask_threshold"])
-    coil = coil_spec_from_config(cfg)
-    sens = make_sensitivities(coil, phantom.shape)
-    noise = cfg["noise"] if sigma is None else {**cfg["noise"], "sigma": sigma}
-    psi = make_noise_covariance(sens, phantom, mask, NoiseSpec(**noise), rng)
+    phantom = make_phantom(random_phantom_spec(cfg["phantom"]["grid_size"], rng))
+    mask = make_mask(phantom)
+    sens = make_sensitivities(CoilSpec.ring(cfg["coils"]["channels"]), phantom.shape)
+    psi = make_noise_covariance(sens, phantom, mask, NoiseSpec(**cfg["noise"]), rng)
     stack = synthesize_acquisition(phantom, sens, psi, rng)
     clean_stack = sens * phantom[None]
     clean = combine_all(clean_stack, sens)
@@ -60,6 +49,6 @@ def simulate_slice(cfg, rng, sigma=None, with_second=False):
     )
 
 
-def simulate_dataset(cfg, n_slices, seed, sigma=None, with_second=False):
+def simulate_dataset(cfg, n_slices, seed, with_second=False):
     rng = np.random.default_rng(seed)
-    return [simulate_slice(cfg, rng, sigma=sigma, with_second=with_second) for _ in range(n_slices)]
+    return [simulate_slice(cfg, rng, with_second=with_second) for _ in range(n_slices)]

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LR_DECAY = 0.87  # per-epoch factor of the learning rate
 
 
 @dataclass(frozen=True)
@@ -333,11 +334,11 @@ def adam_step(params, grads, state, lr):
     return params, state
 
 
-def lr_schedule(epoch, base_lr, decay):
-    """Exponentially decayed learning rate: base_lr * decay^epoch."""
+def lr_schedule(epoch, base_lr):
+    """Exponentially decayed learning rate: base_lr * LR_DECAY^epoch."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return base_lr * decay**epoch
+    return base_lr * LR_DECAY**epoch
 
 
 def gradient_check(rng):

@@ -179,7 +179,10 @@ def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     moments of a and b (variances v_a, v_b and covariance c): the whitened
     label is linear in a and b, so its covariance with a is
     alpha*v_a + beta*c and its variance alpha^2*v_a + 2*alpha*beta*c + beta^2*v_b.
+    Sample variances need n_real >= 2.
     """
+    if n_real < 2:
+        raise ValueError(f"the Monte-Carlo check needs n_real >= 2 realizations, got {n_real}")
     sens = np.asarray(sens)
     gj, gk = list(split.group_j), list(split.group_k)
     wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))  # validates sens, psi

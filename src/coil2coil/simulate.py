@@ -27,6 +27,11 @@ __all__ = [
     "random_phantom_spec",
 ]
 
+N_ELLIPSES = (2, 5)  # fewest and most interior ellipses of a random phantom
+COIL_RADIUS = 1.1  # ring radius of the coil centres, just outside the FOV
+COIL_FALLOFF = 1.05  # Gaussian width of a coil's sensitivity
+MASK_THRESHOLD = 0.1  # mask voxels exceed this fraction of the peak magnitude
+
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -81,13 +86,13 @@ class CoilSpec:
         return len(self.centers)
 
     @classmethod
-    def ring(cls, m, radius=1.1, falloff=1.05, phases=None):
+    def ring(cls, m, phases=None):
         """m channels evenly spaced on a circle just outside the FOV."""
         ang = 2 * np.pi * np.arange(m) / m
-        centers = tuple((radius * np.cos(t), radius * np.sin(t)) for t in ang)
+        centers = tuple((COIL_RADIUS * np.cos(t), COIL_RADIUS * np.sin(t)) for t in ang)
         if phases is None:
             phases = tuple(float(t) for t in ang)
-        return cls(centers=centers, falloff=falloff, phases=tuple(phases))
+        return cls(centers=centers, falloff=COIL_FALLOFF, phases=tuple(phases))
 
 
 @dataclass(frozen=True)
@@ -134,13 +139,13 @@ def make_sensitivities(spec, shape):
     return sens
 
 
-def make_mask(img, threshold_frac=0.1):
-    """Threshold-derived mask: |img| above a fraction of its peak."""
+def make_mask(img):
+    """Threshold-derived mask: |img| above MASK_THRESHOLD of its peak."""
     mag = np.abs(np.asarray(img))
     peak = mag.max()
     if peak == 0:
         raise ValueError("cannot derive mask from an all-zero image")
-    return mag > threshold_frac * peak
+    return mag > MASK_THRESHOLD * peak
 
 
 def make_noise_covariance(sens, phantom, mask, spec, rng):
@@ -195,9 +200,9 @@ def synthesize_acquisition(phantom, sens, psi, rng):
     return sens * phantom[None] + sample_noise(psi, phantom.shape, rng)
 
 
-def random_phantom_spec(grid_size, rng, n_ellipses=(2, 5)):
-    """Random piecewise-constant phantom: a head ellipse plus interior blobs."""
-    lo, hi = n_ellipses
+def random_phantom_spec(grid_size, rng):
+    """Random piecewise-constant phantom: a head ellipse plus N_ELLIPSES blobs."""
+    lo, hi = N_ELLIPSES
     k = int(rng.integers(lo, hi + 1))
     ellipses = [Ellipse(0.0, 0.0, 0.85, 0.8, 0.0, 0.8)]
     for _ in range(k):

@@ -46,7 +46,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8
     base_lr: float = 1e-4
-    lr_decay: float = 0.87
     mode: str = "C2C"
     whiten: bool = True
     normalize: bool = True
@@ -58,6 +57,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.base_lr <= 0:
+            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.validate_every < 0:
@@ -164,7 +165,7 @@ def train(slices, net_config, config, val_slices=None):
     n = len(slices)
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
-        lr = net.lr_schedule(epoch, config.base_lr, config.lr_decay)
+        lr = net.lr_schedule(epoch, config.base_lr)
         pairs, splits = _epoch_pairs(slices, config, rng)
         splits_seen.extend(splits)
         order = rng.permutation(n)

@@ -198,7 +198,8 @@ class TestDeskScaleDenoising:
         cfg = study["cfg"]
         details, ok = [], True
         for sigma in (0.5, 1.0, 1.5):
-            val = simulate_dataset(cfg, VAL_SLICES, seed=VAL_SEED, sigma=sigma)
+            noisy_cfg = {**cfg, "noise": {**cfg["noise"], "sigma": sigma}}
+            val = simulate_dataset(noisy_cfg, VAL_SLICES, seed=VAL_SEED)
             noisy = float(np.mean(
                 [psnr(combine_all(s.stack, s.sens), s.clean, s.mask) for s in val]
             ))

@@ -67,6 +67,14 @@ class TestSimulate:
             assert cli_main(["simulate", "--config", str(tiny_config), "--out", str(out), "--seed", "5"]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_sigma_flag_sets_the_config_noise_sigma(self, tmp_path, tiny_config):
+        cfg = tmp_path / "loud.cfg"
+        cfg.write_text(tiny_config.read_text().replace("sigma = 0.5", "sigma = 0.7"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert cli_main(["simulate", "--config", str(tiny_config), "--out", str(a), "--sigma", "0.7"]) == 0
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
+        assert tree_bytes(a) == tree_bytes(b)
+
 
 class TestPairgen:
     def test_outputs_and_determinism(self, tmp_path, tiny_config):
@@ -90,6 +98,17 @@ class TestPairgen:
         ])
         assert code == 0
         assert (out / "label.c2t").exists()
+
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_fewer_than_two_realizations_is_data_error(self, tmp_path, tiny_config, capsys, n):
+        # one or no realization has no sample variance: refused before any file is written
+        out = tmp_path / "pair"
+        code = cli_main([
+            "pairgen", "--config", str(tiny_config), "--out", str(out), "--realizations", n,
+        ])
+        assert code == 2
+        assert "n_real >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainDenoiseEval:
@@ -382,6 +401,13 @@ class TestErrorsAndGradcheck:
         cfg = tmp_path / "nan.cfg"
         cfg.write_text(tiny_config.read_text().replace("base_lr = 0.001", "base_lr = nan"))
         assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert not (tmp_path / "t").exists()
+
+    def test_non_positive_learning_rate_is_data_error(self, tmp_path, tiny_config, capsys):
+        cfg = tmp_path / "ascent.cfg"
+        cfg.write_text(tiny_config.read_text().replace("base_lr = 0.001", "base_lr = -0.5"))
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "base_lr" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
     def test_gradcheck_passes(self, capsys):

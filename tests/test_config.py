@@ -59,6 +59,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match=r"line 3: unknown key 'bogus'"):
             parse_config("\n[training]\nbogus = 1\n")
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("phantom", "n_ellipses_min"),
+            ("phantom", "n_ellipses_max"),
+            ("phantom", "mask_threshold"),
+            ("coils", "radius"),
+            ("coils", "falloff"),
+            ("coils", "use_phases"),
+            ("training", "lr_decay"),
+        ],
+    )
+    def test_settings_fixed_as_constants_are_unknown_keys(self, section, key):
+        # the phantom family, coil ring, mask rule and lr decay are module constants
+        with pytest.raises(ConfigError, match=rf"line 3: unknown key '{key}'"):
+            parse_config(f"[{section}]\n\n{key} = 1\n")
+
     def test_key_before_section(self):
         with pytest.raises(ConfigError, match="before any"):
             parse_config("epochs = 3\n")
@@ -79,6 +96,8 @@ class TestParsing:
         "section, key, value",
         [
             ("training", "validate_every", "-1"),
+            ("training", "base_lr", "-0.5"),
+            ("training", "base_lr", "0"),
             ("network", "bn_eps", "-1e-5"),
             ("network", "bn_eps", "0"),
             ("network", "bn_momentum", "1.5"),

@@ -396,11 +396,11 @@ class TestAdam:
 
 class TestLrSchedule:
     def test_values(self):
-        assert lr_schedule(0, 1e-4, 0.87) == pytest.approx(1e-4)
-        assert lr_schedule(1, 1e-4, 0.87) == pytest.approx(8.7e-5)
-        assert lr_schedule(10, 1e-4, 0.87) == pytest.approx(1e-4 * 0.87**10)
-        assert lr_schedule(3, base_lr=2e-3, decay=0.5) == pytest.approx(2.5e-4)
+        assert lr_schedule(0, 1e-4) == pytest.approx(1e-4)
+        assert lr_schedule(1, 1e-4) == pytest.approx(8.7e-5)
+        assert lr_schedule(10, 1e-4) == pytest.approx(1e-4 * 0.87**10)
+        assert lr_schedule(3, base_lr=2e-3) == pytest.approx(2e-3 * 0.87**3)
 
     def test_negative_epoch(self):
         with pytest.raises(ValueError):
-            lr_schedule(-1, 1e-4, 0.87)
+            lr_schedule(-1, 1e-4)

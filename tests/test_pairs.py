@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coil2coil.imaging import VoxelStats, propagate_noise_stats
+from coil2coil.imaging import VoxelStats, effective_sensitivity, propagate_noise_stats
 from coil2coil.pairs import (
+    DET_EPS,
     MC_CHUNK,
     ChannelSplit,
     combine_all,
@@ -283,6 +288,16 @@ class TestEmpiricalNoiseCorrelation:
         assert white < 0.02
         assert raw > 0.3
 
+    @pytest.mark.parametrize("n_real", [0, 1])
+    def test_fewer_than_two_realizations_refused(self, n_real):
+        # no sample variance exists, so no correlation figure does either
+        scene = SyntheticScene()
+        with pytest.raises(ValueError, match="n_real >= 2"):
+            empirical_noise_correlations(
+                scene.phantom, scene.sens, scene.psi, scene.split, scene.mask,
+                n_real, np.random.default_rng(0),
+            )
+
     def test_one_pass_equals_separate_calls(self):
         # one set of draws for both labels gives each call's figure bit for
         # bit; 1,200 realizations span several MC_CHUNK chunks
@@ -294,3 +309,60 @@ class TestEmpiricalNoiseCorrelation:
             for flag in (True, False)
         ]
         assert [c.hex() for c in both] == [c.hex() for c in each]
+
+
+@st.composite
+def whitening_problems(draw):
+    """m in [2, 16] coils with random centres, falloff and (possibly zero)
+    phases on a 6x7 grid, each possibly blind to a random third of it; a
+    random PSD psi of any rank from 0 to m, real or complex; a random
+    balanced split.  Fallback is drawn both ways: a blind group has v_k = 0,
+    and a real rank-1 psi with zero phases makes every 2x2 covariance singular."""
+    m = draw(st.integers(2, 16))
+    rank = draw(st.one_of(st.just(1), st.integers(0, m)))
+    real_psi, zero_phases, blind = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coils = CoilSpec(
+        centers=tuple(map(tuple, rng.uniform(-1.5, 1.5, (m, 2)))),
+        falloff=float(rng.uniform(0.3, 2.0)),
+        phases=(0.0,) * m if zero_phases else tuple(rng.uniform(0, 2 * np.pi, m)),
+    )
+    sens = make_sensitivities(coils, (6, 7))
+    if blind:
+        sens[rng.random(sens.shape) < 1 / 3] = 0.0
+    a = rng.standard_normal((m, rank)) + (0 if real_psi else 1j * rng.standard_normal((m, rank)))
+    return sens, a @ a.conj().T, split_channels(m, rng), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(whitening_problems())
+def test_whitening_invariants(problem):
+    sens, psi, split, rng = problem
+    stats = propagate_noise_stats(sens, psi, split.group_j, split.group_k)
+    vj, vk, c = stats.var_j, stats.var_k, stats.cov_jk
+    w = whitening_coefficients(stats)
+
+    # fallback exactly where the determinant is degenerate or v_k = 0, and
+    # there pure variance matching
+    fallback = (vj * vk - c**2 <= DET_EPS * vj * vk) | (vk == 0)
+    assert w.n_fallback == np.count_nonzero(fallback)
+    assert np.all(w.alpha[fallback] == 0.0)
+    matched = np.where(vk > 0, np.sqrt(vj / np.where(vk > 0, vk, 1.0)), 1.0)
+    assert np.array_equal(w.beta[fallback], matched[fallback])
+
+    # elsewhere: variance preserved and the input/label covariance zeroed, to
+    # roundoff relative to the terms summed
+    a, b, vj, vk, c = (x[~fallback] for x in (w.alpha, w.beta, vj, vk, c))
+    terms = a**2 * vj + np.abs(2 * a * b * c) + b**2 * vk
+    assert np.all(np.abs(a**2 * vj + 2 * a * b * c + b**2 * vk - vj) <= 1e-12 * terms)
+    assert np.all(np.abs(a * vj + b * c) <= 1e-12 * (np.abs(a) * vj + np.abs(b * c)))
+
+    # noise free, the label is its sensitivity map times |x|
+    x = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
+    with warnings.catch_warnings():  # a drawn geometry may give a non-positive label map
+        warnings.simplefilter("ignore", UserWarning)
+        pair = make_training_pair(sens * x, sens, psi, split, np.ones((6, 7), bool))
+    assert pair.n_fallback == w.n_fallback
+    s_k = effective_sensitivity(sens, split.group_k)
+    bound = 1e-12 * (np.abs(w.alpha) * pair.sens_in + np.abs(w.beta) * s_k) * np.abs(x)
+    assert np.all(np.abs(pair.image_label - pair.sens_label * np.abs(x)) <= bound)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coil2coil.datasets import SliceData
+from coil2coil.imaging import coil_combine, effective_sensitivity
 from coil2coil.network import NetworkConfig, init_network
 from coil2coil.pairs import TrainingPair, combine_all, make_training_pair, split_channels
 from coil2coil.simulate import (
@@ -146,10 +147,12 @@ class TestLoss:
 
 
 class TestTrainLoop:
-    def test_zero_lr_leaves_weights_unchanged(self):
+    def test_zero_lr_leaves_weights_unchanged(self, monkeypatch):
+        # TrainConfig refuses base_lr <= 0, so the schedule is zeroed instead
+        monkeypatch.setattr("coil2coil.network.lr_schedule", lambda epoch, base_lr: 0.0)
         slices = tiny_slices(n=2)
         net_cfg = NetworkConfig(depth=3, features=2)
-        cfg = TrainConfig(epochs=1, batch_size=2, base_lr=0.0, seed=0)
+        cfg = TrainConfig(epochs=1, batch_size=2, seed=0)
         params, _, _ = train(slices, net_cfg, cfg)
         ref = init_network(net_cfg, np.random.default_rng(0))
         for (_, a), (_, b) in zip(params.flat(), ref.flat()):
@@ -234,6 +237,17 @@ class TestEpochPairs:
             assert np.all(pairs.sens_in == 1.0) and np.all(pairs.sens_label == 1.0)
         pairs, _ = _epoch_pairs(slices, TrainConfig(epochs=1), np.random.default_rng(0))
         assert not np.all(pairs.sens_in == 1.0)
+
+    def test_whitening_off_pairs_are_the_raw_group_k_combination(self):
+        # the whitening ablation: label map S_k and label |combination of K|
+        # over the input's scale, bit for bit
+        slices = tiny_slices(n=3, m=5)
+        pairs, splits = _epoch_pairs(slices, TrainConfig(whiten=False), np.random.default_rng(4))
+        for i, (data, split) in enumerate(zip(slices, splits)):
+            s = _input_scale(np.abs(coil_combine(data.stack, data.sens, split.group_j)), data.mask)
+            raw = np.abs(coil_combine(data.stack, data.sens, split.group_k))
+            assert pairs.sens_label[i].tobytes() == effective_sensitivity(data.sens, split.group_k).tobytes()
+            assert pairs.image_label[i].tobytes() == (raw / s).tobytes()
 
 
 class TestInputScale:
