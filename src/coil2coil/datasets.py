@@ -50,5 +50,8 @@ def simulate_slice(cfg, rng, with_second=False):
 
 
 def simulate_dataset(cfg, n_slices, seed, with_second=False):
+    """n_slices independent slices from one rng seeded with seed."""
+    if n_slices < 0:
+        raise ValueError(f"dataset size must be >= 0, got {n_slices}")
     rng = np.random.default_rng(seed)
     return [simulate_slice(cfg, rng, with_second=with_second) for _ in range(n_slices)]

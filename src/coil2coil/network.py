@@ -7,16 +7,15 @@ out.  It computes in the dtype of its parameters: float32 from init_network
 and checkpoints, float64 in gradient_check's finite-difference comparison.
 
 Activations are channels-last, (N, H, W, C).  Every convolution -- the
-forward pass and both gradients -- is im2col + GEMM over cache-sized
-blocks of patch rows (_patch_blocks); train mode keeps each conv's input,
-not its patches, and the weight gradient rebuilds them.  Leaky ReLU and
-batch norm work in place on the fresh conv output (and leaky ReLU's
-backward on the fresh gradient), in the same operation order as their
-out-of-place formulas, so they save full-size temporaries without
-changing a bit; eval-mode batch norm is folded into its conv's kernel and
-a bias.  Only the first and the last conv carry a bias: a bias feeding
-batch norm is cancelled by its mean subtraction, so it would be a dead
-parameter.
+forward pass and both gradients -- is im2col + GEMM over 256 KiB blocks of
+patch rows, split evenly (_patch_blocks); train mode keeps each conv's
+input, not its patches, and the weight gradient rebuilds them.  Leaky ReLU
+and its backward work in place, bit-identical to their out-of-place
+formulas.  Batch norm's backward is three in-place passes over the fresh
+gradient with GEMV channel sums; in eval mode batch norm is folded into
+its conv's kernel and a bias.  Only the first and the last conv carry a
+bias: a bias feeding batch norm is cancelled by its mean subtraction, so
+it would be a dead parameter.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "NetworkConfig",
@@ -167,25 +166,26 @@ def init_network(config, rng):
     ).astype(np.float32)
 
 
-# Entries of one block of patch rows, 512 KiB at float32: it stays in L2
+# Entries of one block of patch rows, 256 KiB at float32: it stays in L2
 # and is reused from the heap, where one whole-image patch matrix (21 MB at
 # 192x192x16) is fresh memory whose page faults cost as much as its GEMM.
-_BLOCK_ELEMS = 1 << 17
+_BLOCK_ELEMS = 1 << 16
 
 
 def _patch_blocks(x, k):
     """Yield (index, patches) over blocks of rows of each image in
     channels-last x (N, H, W, C): x[index] is the block, and patches its
-    zero-padded (rows * W, k*k*C) im2col matrix, C innermost."""
+    zero-padded (rows * W, k*k*C) im2col matrix, C innermost.  An image's
+    blocks differ by at most one row; each fits _BLOCK_ELEMS if a row does."""
     n, h, wd, c = x.shape
     p = (k - 1) // 2
     xp = np.zeros((n, h + 2 * p, wd + 2 * p, c), x.dtype)
     xp[:, p : p + h, p : p + wd] = x
-    win = sliding_window_view(xp, (k, k), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-    rows = max(1, _BLOCK_ELEMS // (wd * k * k * c))
-    for b in range(n):
-        for r in range(0, h, rows):
-            yield (b, slice(r, r + rows)), win[b, r : r + rows].reshape(-1, k * k * c)
+    win = as_strided(xp, (n, h, wd, k, k, c), xp.strides[:3] + xp.strides[1:], writeable=False)
+    blocks = math.ceil(h / max(1, _BLOCK_ELEMS // (wd * k * k * c)))
+    for b, r in np.ndindex(n, blocks):
+        rows = slice(r * h // blocks, (r + 1) * h // blocks)
+        yield (b, rows), win[b, rows].reshape(-1, k * k * c)
 
 
 def _conv(x, w):
@@ -206,9 +206,17 @@ def _leaky_forward(x, slope):
 
 
 def _leaky_backward(dy, x, slope):
-    """In place on dy.  x may be the activation's input or its output: both
-    have one sign."""
-    return np.multiply(dy, slope, out=dy, where=~(x >= 0))
+    """In place on dy, times where(x >= 0, 1, slope) without branches: slope +
+    (1 - slope) rounds to exactly 1.  x is the activation's input or output."""
+    f = np.greater_equal(x, 0, out=np.empty(x.shape, dy.dtype))
+    f *= 1 - slope
+    f += slope
+    return np.multiply(dy, f, out=dy)
+
+
+def _channel_sum(x):
+    """Sum of channels-last x over every axis but the last, as one GEMV."""
+    return np.ones(x.size // x.shape[-1], x.dtype) @ x.reshape(-1, x.shape[-1])
 
 
 def _bn_forward_train(x, scale, shift, eps):
@@ -220,19 +228,20 @@ def _bn_forward_train(x, scale, shift, eps):
     xhat *= inv_std
     y = xhat * scale
     y += shift
-    return y, (xhat, inv_std, scale), mean, var
+    return y, (xhat, scale * inv_std), mean, var
 
 
 def _bn_backward(dy, cache):
-    xhat, inv_std, scale = cache
-    n_eff = dy.shape[0] * dy.shape[1] * dy.shape[2]
-    dshift = dy.sum(axis=(0, 1, 2))
-    dscale = (dy * xhat).sum(axis=(0, 1, 2))
-    dxhat = dy * scale
-    dx = (
-        dxhat - dxhat.mean(axis=(0, 1, 2)) - xhat * (dxhat * xhat).sum(axis=(0, 1, 2)) / n_eff
-    ) * inv_std
-    return dx, dscale, dshift
+    """In place on dy: dx = a*dy - (a*dscale/n)*xhat - a*dshift/n with
+    a = scale*inv_std, three passes over the activation."""
+    xhat, a = cache
+    n = dy.size // dy.shape[-1]
+    dshift = _channel_sum(dy)
+    dscale = np.einsum("nhwc,nhwc->c", dy, xhat)
+    dy *= a
+    dy -= (a * dscale / n) * xhat
+    dy -= a * dshift / n
+    return dy, dscale, dshift
 
 
 def forward(params, batch, train=False):
@@ -296,21 +305,17 @@ def backward(params, cache, output_grads):
         raise ValueError("output gradient shape does not match cached batch")
     dy = dy[..., None]
     last = len(params.weights) - 1
-    grads = {f"conv{last}.bias": dy.sum(axis=(0, 1, 2))}
+    grads = {f"conv{last}.bias": _channel_sum(dy)}
     for i in range(last, -1, -1):
         if i < last:
             dy = _leaky_backward(dy, cache["inputs"][i + 1], cfg.leaky_slope)
             if i == 0:
-                grads["conv0.bias"] = dy.sum(axis=(0, 1, 2))
+                grads["conv0.bias"] = _channel_sum(dy)
             else:
-                dy, grads[f"bn{i - 1}.scale"], grads[f"bn{i - 1}.shift"] = _bn_backward(
-                    dy, cache["bn"][i - 1]
-                )
+                dy, grads[f"bn{i - 1}.scale"], grads[f"bn{i - 1}.shift"] = _bn_backward(dy, cache["bn"][i - 1])
         w = params.weights[i]
         f, c, k, _ = w.shape
-        dw = np.zeros((f, k * k * c), w.dtype)  # dy^T @ patches, block by block
-        for b, patches in _patch_blocks(cache["inputs"][i], k):
-            dw += dy[b].reshape(-1, f).T @ patches
+        dw = sum(dy[b].reshape(-1, f).T @ patches for b, patches in _patch_blocks(cache["inputs"][i], k))
         grads[f"conv{i}.weight"] = dw.reshape(f, k, k, c).transpose(0, 3, 1, 2)
         if i > 0:  # input gradient: correlation with the flipped, transposed kernel
             dy = _conv(dy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])

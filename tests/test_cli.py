@@ -410,6 +410,16 @@ class TestErrorsAndGradcheck:
         assert "base_lr" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    @pytest.mark.parametrize("size", ["\nslices = 4", "\nval_slices = 0"], ids=["slices", "val_slices"])
+    def test_negative_dataset_size_is_data_error(self, tmp_path, tiny_config, capsys, size):
+        # with validation asked for, so a negative validation set cannot pass as none
+        cfg = tmp_path / "negative.cfg"
+        text = tiny_config.read_text().replace(size, size.split("=")[0] + "= -3")
+        cfg.write_text(text.replace("[training]\n", "[training]\nvalidate_every = 1\n"))
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "-3" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck"]) == 0
         assert "max relative error" in capsys.readouterr().out

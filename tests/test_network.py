@@ -10,10 +10,12 @@ from coil2coil import network
 from coil2coil.network import (
     AdamState,
     NetworkConfig,
+    _bn_backward,
     _bn_forward_train,
     _conv,
     _leaky_backward,
     _leaky_forward,
+    _patch_blocks,
     adam_step,
     backward,
     forward,
@@ -110,6 +112,32 @@ class TestConv:
                     ref[b, :, :, fi] += correlate(x[b, :, :, ci], w[fi, ci], mode="constant")
         assert y.shape == (n, 7, 9, f)
         assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    h=st.integers(1, 40),
+    w=st.integers(1, 12),
+    c=st.integers(1, 4),
+    k=st.sampled_from([1, 3, 5]),
+    block_elems=st.integers(1, 5000),
+)
+def test_patch_blocks_partition_the_rows(n, h, w, c, k, block_elems):
+    row = w * k * k * c  # entries of one image row's patches
+    seen = np.zeros((n, h), int)
+    heights = {b: [] for b in range(n)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(network, "_BLOCK_ELEMS", block_elems)
+        for (b, rows), patches in _patch_blocks(np.zeros((n, h, w, c)), k):
+            seen[b, rows] += 1
+            heights[b].append(rows.stop - rows.start)
+            assert patches.shape == (heights[b][-1] * w, k * k * c)
+            assert patches.size <= max(block_elems, row)
+    assert np.all(seen == 1)
+    for hs in heights.values():
+        assert max(hs) - min(hs) <= 1
+        assert len(hs) == -(-h // max(1, block_elems // row))  # the fewest that fit
 
 
 class TestForward:
@@ -315,6 +343,17 @@ class TestInPlaceKernels:
         got = _leaky_backward(dy.copy(), x, 0.1)
         assert np.array_equal(_bits(got), _bits(want))
 
+    def test_leaky_backward_matches_where_in_float32(self):
+        # the dtype training runs in, with float32 subnormals of both signs
+        x = self.signed_data().astype(np.float32)
+        x.flat[2:4] = [-1e-40, 1e-40]
+        dy = np.random.default_rng(20).standard_normal(x.shape).astype(np.float32)
+        dy.flat[6:10] = [-0.0, 0.0, -1e-40, 1e-40]
+        want = dy * np.where(x >= 0, np.float32(1), np.float32(0.1))
+        got = _leaky_backward(dy.copy(), x, 0.1)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
     @pytest.mark.parametrize("shape", [(2, 8, 8, 3), (4, 48, 40, 16)])
     def test_bn_train_statistics_match_mean_and_var(self, shape):
         x = 3.0 * np.random.default_rng(21).standard_normal(shape) + 1.0
@@ -324,7 +363,57 @@ class TestInPlaceKernels:
         assert np.array_equal(_bits(var), _bits(x.var(axis=(0, 1, 2))))
 
 
+def _bn_backward_four_pass(dy, xhat, inv_std, scale):
+    """Batch norm's input gradient as the four-pass formula: the reference."""
+    n_eff = dy.shape[0] * dy.shape[1] * dy.shape[2]
+    dxhat = dy * scale
+    return (
+        dxhat - dxhat.mean(axis=(0, 1, 2)) - xhat * (dxhat * xhat).sum(axis=(0, 1, 2)) / n_eff
+    ) * inv_std
+
+
 class TestBackward:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bn_backward_matches_the_four_pass_formula(self, dtype):
+        # scale, shift and batch away from their initial values; the float64
+        # formula is the reference for both dtypes
+        rng = np.random.default_rng(27)
+        x = 2.0 * rng.standard_normal((3, 6, 5, 4)) + 0.5
+        dy = rng.standard_normal(x.shape)
+        scale, shift, eps = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4), 1e-5
+        _, (xhat, _), _, var = _bn_forward_train(x, scale, shift, eps)
+        dx = _bn_backward_four_pass(dy, xhat, 1.0 / np.sqrt(var + eps), scale)
+        want = dx, (dy * xhat).sum(axis=(0, 1, 2)), dy.sum(axis=(0, 1, 2))
+        _, cache, _, _ = _bn_forward_train(x.astype(dtype), scale.astype(dtype), shift.astype(dtype), eps)
+        got = _bn_backward(dy.astype(dtype), cache)
+        for name, a, b in zip(("dx", "dscale", "dshift"), got, want):
+            assert a.dtype == dtype, name
+            if dtype == np.float64:
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12), name
+            else:
+                assert np.linalg.norm(a - b) <= FLOAT32_RTOL * np.linalg.norm(b), name
+
+    def test_train_backward_peak_memory(self):
+        # at the training shape backward holds at most three activations
+        # (N*H*W*F float32) at once -- the gradient, its zero-padded copy and
+        # the next conv's output -- plus two patch blocks (the one in the GEMM
+        # and the next) and one gradient per parameter
+        cfg = NetworkConfig()
+        n, h, w, f = 8, 32, 32, cfg.features
+        params = init_network(cfg, np.random.default_rng(28))
+        rng = np.random.default_rng(29)
+        out, cache = forward(params, rng.standard_normal((n, h, w)), train=True)
+        dy = rng.standard_normal(out.shape)
+        tracemalloc.start()
+        try:
+            backward(params, cache, dy)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        act = n * h * w * f * 4
+        padded = (h + 2) * (w + 2) / (h * w)
+        assert peak <= (2 + padded) * act + 4 * (2 * network._BLOCK_ELEMS + cfg.state_size())
+
     def test_gradient_check(self):
         err = gradient_check(rng=np.random.default_rng(0))
         assert err <= 1e-4
