@@ -45,7 +45,7 @@ __all__ = [
 
 DET_EPS = 1e-9  # relative determinant below which whitening falls back
 SENS_FLOOR = 1e-3  # fraction of the peak sensitivity counted as coverage
-MC_CHUNK = 500  # noise realizations drawn at once by the Monte-Carlo check
+MC_BUDGET = 2**20  # complex noise entries (16 MiB) the Monte-Carlo check draws at once
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,9 @@ def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, wh
 def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     """Monte-Carlo check of pair noise independence, (whitened, raw).
 
-    Draws n_real noise realizations of the acquisition and returns the mean
-    absolute per-voxel correlation inside the mask between the input
+    Draws n_real realizations of the per-channel noise, only at the masked
+    voxels and in chunks of at most MC_BUDGET entries, and returns the mean
+    absolute per-voxel correlation over the mask between the input
     magnitude a and the whitened label alpha*a + beta*b, and between a and
     the raw label magnitude b.  Both come from one set of per-voxel sample
     moments of a and b (variances v_a, v_b and covariance c): the whitened
@@ -186,19 +187,20 @@ def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     sens = np.asarray(sens)
     gj, gk = list(split.group_j), list(split.group_k)
     wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))  # validates sens, psi
-    mask = check_mask(mask, sens.shape[1:])
+    inside = np.flatnonzero(check_mask(mask, sens.shape[1:]))
 
-    clean = sens * np.asarray(phantom)
-    uj = sens[gj].conj().reshape(len(gj), -1)
-    uk = sens[gk].conj().reshape(len(gk), -1)
-    cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
-    ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
+    s_in = sens.reshape(len(sens), -1)[:, inside]
+    x_in = np.asarray(phantom).ravel()[inside]
+    uj, uk = s_in[gj].conj(), s_in[gk].conj()
+    cj = np.einsum("cv,cv->v", uj, s_in[gj] * x_in)
+    ck = np.einsum("cv,cv->v", uk, s_in[gk] * x_in)
 
-    sa, sb, saa, sbb, sab = np.zeros((5, mask.size))
+    sa, sb, saa, sbb, sab = np.zeros((5, inside.size))
+    chunk = max(1, MC_BUDGET // (len(sens) * inside.size))
     done = 0
     while done < n_real:
-        r = min(MC_CHUNK, n_real - done)
-        noise = sample_noise(psi, (r, mask.size), rng)
+        r = min(chunk, n_real - done)
+        noise = sample_noise(psi, (r, inside.size), rng)
         a = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
         b = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
         sa += a.sum(axis=0)
@@ -206,14 +208,15 @@ def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
         saa += (a**2).sum(axis=0)
         sbb += (b**2).sum(axis=0)
         sab += (a * b).sum(axis=0)
+        del noise  # before the next chunk is drawn, so two chunks are never held
         done += r
 
     n = float(n_real)
     va = saa / n - (sa / n) ** 2
     vb = sbb / n - (sb / n) ** 2
     c = sab / n - (sa / n) * (sb / n)
-    alpha, beta = wmaps.alpha.ravel(), wmaps.beta.ravel()
+    alpha, beta = wmaps.alpha.ravel()[inside], wmaps.beta.ravel()[inside]
     cov = np.stack([alpha * va + beta * c, c])
     var = np.stack([alpha**2 * va + 2 * alpha * beta * c + beta**2 * vb, vb])
     corr = np.where((va > 0) & (var > 0), cov / np.sqrt(np.maximum(va * var, 1e-300)), 0.0)
-    return tuple(float(np.mean(np.abs(x[mask.ravel()]))) for x in corr)
+    return tuple(float(np.mean(np.abs(x))) for x in corr)

@@ -176,7 +176,9 @@ def sample_noise(psi, shape, rng):
 
     Real and imaginary axes are sampled independently as L z with z i.i.d.
     standard normal and L L^H = psi, so each axis has covariance psi across
-    channels; both are mixed by one complex GEMM, L (z_re + i z_im).
+    channels; both are mixed by one complex GEMM, L (z_re + i z_im).  The
+    real draws are freed before the GEMM, so the call holds at most two
+    arrays of the output's size.
     """
     m = math.isqrt(np.size(psi))  # a non-square psi fails the (m, m) shape check
     psi = check_covariance(psi, m)
@@ -186,7 +188,10 @@ def sample_noise(psi, shape, rng):
         evals, vecs = np.linalg.eigh(psi)
         L = vecs * np.sqrt(np.maximum(evals, 0.0))
     z = rng.standard_normal((2, m, math.prod(shape)))  # real draws, then imaginary
-    return (L @ (z[0] + 1j * z[1])).reshape(m, *shape)
+    zc = np.empty(z.shape[1:], np.complex128)
+    zc.real, zc.imag = z
+    del z
+    return (L @ zc).reshape(m, *shape)
 
 
 def synthesize_acquisition(phantom, sens, psi, rng):

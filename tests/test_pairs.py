@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from coil2coil.imaging import VoxelStats, effective_sensitivity, propagate_noise_stats
 from coil2coil.pairs import (
     DET_EPS,
-    MC_CHUNK,
+    MC_BUDGET,
     ChannelSplit,
     combine_all,
     empirical_noise_correlation,
@@ -211,57 +212,154 @@ class TestMakeTrainingPair:
         assert np.allclose(full, np.abs(parts))
 
 
+def mc_chunk(m, n_voxels):
+    """Realizations per Monte-Carlo chunk of m channels at n_voxels voxels."""
+    return max(1, MC_BUDGET // (m * n_voxels))
+
+
 def label_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
-    """(whitened, raw) by correlating each label's own sample moments with
-    the input: the form empirical_noise_correlations had before it derived
-    the whitened figure from the moments of the input and the raw label,
-    kept here as its oracle."""
+    """(whitened, raw) by correlating each label's own samples with the
+    input: the oracle of empirical_noise_correlations, which derives the
+    whitened figure from the moments of the input and the raw label.  The
+    whitened label alpha*a + beta*b is formed per realization and its
+    correlation with a taken from centered (two-pass) moments, which lose
+    far less to cancellation than one-pass sums do; the raw figure repeats
+    the one-pass sums chunk by chunk, so its bits must agree.  Noise is
+    drawn at the masked voxels only."""
     gj, gk = list(split.group_j), list(split.group_k)
+    inside = np.flatnonzero(mask)
     wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
-    coeffs = [(wmaps.alpha.ravel(), wmaps.beta.ravel()), None]
-    clean = sens * phantom
-    uj = sens[gj].conj().reshape(len(gj), -1)
-    uk = sens[gk].conj().reshape(len(gk), -1)
-    cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
-    ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
-    sa, saa = np.zeros((2, mask.size))
-    sb, sbb, sab = np.zeros((3, len(coeffs), mask.size))
+    alpha, beta = wmaps.alpha.ravel()[inside], wmaps.beta.ravel()[inside]
+    s_in = sens.reshape(len(sens), -1)[:, inside]
+    x_in = phantom.ravel()[inside]
+    uj, uk = s_in[gj].conj(), s_in[gk].conj()
+    cj = np.einsum("cv,cv->v", uj, s_in[gj] * x_in)
+    ck = np.einsum("cv,cv->v", uk, s_in[gk] * x_in)
+    sa, sb, saa, sbb, sab = np.zeros((5, inside.size))
+    inputs, labels = [], []
     done = 0
     while done < n_real:
-        r = min(MC_CHUNK, n_real - done)
-        noise = sample_noise(psi, (r, mask.size), rng)
+        r = min(mc_chunk(len(sens), inside.size), n_real - done)
+        noise = sample_noise(psi, (r, inside.size), rng)
         img_in = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
         raw = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
         sa += img_in.sum(axis=0)
+        sb += raw.sum(axis=0)
         saa += (img_in**2).sum(axis=0)
-        for i, ab in enumerate(coeffs):
-            img_lab = raw if ab is None else ab[0] * img_in + ab[1] * raw
-            sb[i] += img_lab.sum(axis=0)
-            sbb[i] += (img_lab**2).sum(axis=0)
-            sab[i] += (img_in * img_lab).sum(axis=0)
+        sbb += (raw**2).sum(axis=0)
+        sab += (img_in * raw).sum(axis=0)
+        inputs.append(img_in)
+        labels.append(alpha * img_in + beta * raw)
         done += r
     n = float(n_real)
     va = saa / n - (sa / n) ** 2
     vb = sbb / n - (sb / n) ** 2
     cov = sab / n - (sa / n) * (sb / n)
-    corr = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
-    return tuple(float(np.mean(np.abs(c[mask.ravel()]))) for c in corr)
+    corr_raw = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
+    da = np.concatenate(inputs)
+    da -= da.mean(axis=0)
+    dl = np.concatenate(labels)
+    dl -= dl.mean(axis=0)
+    va, vl, cov = (da * da).mean(axis=0), (dl * dl).mean(axis=0), (da * dl).mean(axis=0)
+    corr_white = np.where((va > 0) & (vl > 0), cov / np.sqrt(np.maximum(va * vl, 1e-300)), 0.0)
+    return float(np.mean(np.abs(corr_white))), float(np.mean(np.abs(corr_raw)))
+
+
+def full_grid_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
+    """(whitened, raw) from noise drawn at every grid voxel, the form
+    empirical_noise_correlations had before it drew only masked voxels;
+    chunked by the same rule, so with an all-true mask its draws are the
+    same."""
+    gj, gk = list(split.group_j), list(split.group_k)
+    wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
+    clean = sens * phantom
+    uj = sens[gj].conj().reshape(len(gj), -1)
+    uk = sens[gk].conj().reshape(len(gk), -1)
+    cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
+    ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
+    sa, sb, saa, sbb, sab = np.zeros((5, mask.size))
+    done = 0
+    while done < n_real:
+        r = min(mc_chunk(len(sens), mask.size), n_real - done)
+        noise = sample_noise(psi, (r, mask.size), rng)
+        a = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
+        b = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
+        sa += a.sum(axis=0)
+        sb += b.sum(axis=0)
+        saa += (a**2).sum(axis=0)
+        sbb += (b**2).sum(axis=0)
+        sab += (a * b).sum(axis=0)
+        done += r
+    n = float(n_real)
+    va = saa / n - (sa / n) ** 2
+    vb = sbb / n - (sb / n) ** 2
+    c = sab / n - (sa / n) * (sb / n)
+    alpha, beta = wmaps.alpha.ravel(), wmaps.beta.ravel()
+    cov = np.stack([alpha * va + beta * c, c])
+    var = np.stack([alpha**2 * va + 2 * alpha * beta * c + beta**2 * vb, vb])
+    corr = np.where((va > 0) & (var > 0), cov / np.sqrt(np.maximum(va * var, 1e-300)), 0.0)
+    return tuple(float(np.mean(np.abs(x[mask.ravel()]))) for x in corr)
 
 
 class TestEmpiricalNoiseCorrelation:
     @pytest.mark.parametrize("m", [4, 5, 7, 16])
     def test_moments_match_the_label_oracle(self, m):
         # the raw figure is the oracle's bit for bit; the whitened one,
-        # derived from the moments, agrees to roundoff; 1,200 realizations
-        # span three MC_CHUNK chunks
+        # derived from the moments, agrees to roundoff; at m = 16, 1,200
+        # realizations span three chunks
         scene = SyntheticScene(grid=16, m=m, sigma=0.3, seed=m)
         split = split_channels(m, np.random.default_rng(m + 1))
         args = (scene.phantom, scene.sens, scene.psi, split, scene.mask, 1_200)
-        assert args[-1] > 2 * MC_CHUNK
+        if m == 16:
+            assert args[-1] > 2 * mc_chunk(m, int(scene.mask.sum()))
         white, raw = empirical_noise_correlations(*args, np.random.default_rng(m + 2))
         white_ref, raw_ref = label_noise_correlations(*args, np.random.default_rng(m + 2))
         assert raw.hex() == raw_ref.hex()
         assert white == pytest.approx(white_ref, rel=1e-12, abs=0)
+
+    def test_all_true_mask_matches_the_full_grid_formula(self):
+        # with every voxel masked, drawing at the masked voxels draws what
+        # the full grid did, so both figures keep their bits
+        scene = SyntheticScene(grid=16, m=5, sigma=0.3, seed=8)
+        mask = np.ones_like(scene.mask)
+        n_real = 2 * mc_chunk(5, mask.size) + 7
+        args = (scene.phantom, scene.sens, scene.psi, scene.split, mask, n_real)
+        got = empirical_noise_correlations(*args, np.random.default_rng(9))
+        want = full_grid_noise_correlations(*args, np.random.default_rng(9))
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_draws_only_the_masked_voxels(self):
+        # one real and one imaginary normal per channel, realization and
+        # masked voxel, over several chunks
+        scene = SyntheticScene(grid=16, m=6, sigma=0.3, seed=2)
+        n_inside = int(scene.mask.sum())
+        assert n_inside < scene.mask.size
+        n_real = 2 * mc_chunk(6, n_inside) + 3
+        rng = np.random.default_rng(4)
+        empirical_noise_correlations(
+            scene.phantom, scene.sens, scene.psi, scene.split, scene.mask, n_real, rng
+        )
+        ref = np.random.default_rng(4)
+        ref.standard_normal(2 * 6 * n_real * n_inside)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_peak_memory_is_bounded_by_the_budget(self):
+        # 1,000 realizations of 16 channels at 32x32 are 8M noise entries;
+        # drawn in chunks of at most MC_BUDGET entries, the peak stays
+        # under two and a half budget-sized complex arrays: the chunk and
+        # the GEMM output it is mixed into, plus the per-voxel moments
+        scene = SyntheticScene(grid=32, m=16, sigma=0.3, seed=1)
+        assert 1_000 * 16 * scene.mask.sum() > 4 * MC_BUDGET
+        tracemalloc.start()
+        try:
+            empirical_noise_correlations(
+                scene.phantom, scene.sens, scene.psi, scene.split, scene.mask,
+                1_000, np.random.default_rng(0),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 16 * MC_BUDGET
 
     def test_whitening_reduces_correlation(self):
         # strongly correlated channels: the raw input/label correlation is
@@ -300,9 +398,10 @@ class TestEmpiricalNoiseCorrelation:
 
     def test_one_pass_equals_separate_calls(self):
         # one set of draws for both labels gives each call's figure bit for
-        # bit; 1,200 realizations span several MC_CHUNK chunks
+        # bit; the realizations span three chunks
         scene = SyntheticScene(grid=16, m=5, sigma=0.3, seed=5)
-        args = (scene.phantom, scene.sens, scene.psi, scene.split, scene.mask, 1_200)
+        n_real = 2 * mc_chunk(5, int(scene.mask.sum())) + 7
+        args = (scene.phantom, scene.sens, scene.psi, scene.split, scene.mask, n_real)
         both = empirical_noise_correlations(*args, np.random.default_rng(3))
         each = [
             empirical_noise_correlation(*args, np.random.default_rng(3), whiten=flag)

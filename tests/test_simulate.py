@@ -196,6 +196,30 @@ class TestSampleNoise:
         want = (L @ z[0] + 1j * (L @ z[1])).reshape(5, 6, 7)
         assert np.max(np.abs(out - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_one_pass_complex_draw_keeps_the_bytes(self):
+        # the complex draw is built in place; the sum z_re + 1j * z_im it
+        # replaced stays here as the oracle, over 200 (psi, shape) draws of
+        # any rank from 0 to m, so the eigendecomposition path runs too
+        rng = np.random.default_rng(12)
+        singular = 0
+        for i in range(200):
+            m = int(rng.integers(1, 33))
+            a = rng.standard_normal((m, int(rng.integers(0, m + 1))))
+            a = a + 1j * rng.standard_normal(a.shape)
+            psi = a @ a.conj().T
+            shape = tuple(int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 4))))
+            try:
+                L = np.linalg.cholesky(psi)
+            except np.linalg.LinAlgError:
+                evals, vecs = np.linalg.eigh(psi)
+                L = vecs * np.sqrt(np.maximum(evals, 0.0))
+                singular += 1
+            z = np.random.default_rng(i).standard_normal((2, m, int(np.prod(shape))))
+            want = (L @ (z[0] + 1j * z[1])).reshape(m, *shape)
+            out = sample_noise(psi, shape, np.random.default_rng(i))
+            assert out.tobytes() == want.tobytes()
+        assert singular > 0
+
 
 class TestSynthesizeAcquisition:
     def setup_method(self):
