@@ -8,7 +8,6 @@ at inference time.
 """
 
 from .imaging import (
-    VoxelStats,
     coil_combine,
     effective_sensitivity,
     propagate_noise_stats,

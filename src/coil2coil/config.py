@@ -1,7 +1,7 @@
 """Flat key=value run configuration with [section] headers.
 
-Every key has a documented default; unknown sections or keys are rejected
-with the offending line number.
+Every key has a documented default; unknown sections or keys, and a key
+set twice, are rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ def parse_config(text):
     """Parse config text into a nested dict over DEFAULTS."""
     cfg = copy.deepcopy(DEFAULTS)
     section = None
+    set_on = {}  # (section, key) -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -77,6 +78,9 @@ def parse_config(text):
             raise ConfigError(f"line {lineno}: key {key!r} before any [section]")
         if key not in cfg[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+        first = set_on.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} in [{section}] already set on line {first}")
         cfg[section][key] = _convert(raw, DEFAULTS[section][key], f"line {lineno}")
     return cfg
 

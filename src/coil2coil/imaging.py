@@ -13,12 +13,9 @@ covariance passed check_covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "VoxelStats",
     "coil_combine",
     "effective_sensitivity",
     "propagate_noise_stats",
@@ -72,29 +69,6 @@ def _check_group(group, m):
     return group
 
 
-@dataclass(frozen=True)
-class VoxelStats:
-    """Per-voxel variance/covariance of two combined magnitude images.
-
-    var_j, var_k are the noise variances of the two group combinations and
-    cov_jk their covariance, each a real (H, W) array.
-    """
-
-    var_j: np.ndarray
-    var_k: np.ndarray
-    cov_jk: np.ndarray
-
-    def __post_init__(self):
-        for name in ("var_j", "var_k"):
-            v = getattr(self, name)
-            if np.any(v < -1e-12):
-                raise ValueError(f"{name} has negative entries")
-        # Cauchy-Schwarz, with slack for roundoff
-        bound = self.var_j * self.var_k
-        if np.any(self.cov_jk**2 > bound * (1 + 1e-9) + 1e-12):
-            raise ValueError("covariance violates Cauchy-Schwarz bound")
-
-
 def coil_combine(stack, sens, group):
     """Matched-filter combination sum_i conj(s_i) * y_i over a channel group.
 
@@ -113,7 +87,8 @@ def effective_sensitivity(sens, group):
 
 
 def propagate_noise_stats(sens, psi, group_j, group_k):
-    """Analytic per-voxel noise statistics of two combined magnitude images.
+    """Analytic per-voxel noise statistics (var_j, var_k, cov_jk) of two
+    combined magnitude images, each a real (H, W) array.
 
     For disjoint channel groups J and K, the magnitude-domain noise of the
     two combinations (at high SNR, where the noise is effectively the
@@ -148,4 +123,4 @@ def propagate_noise_stats(sens, psi, group_j, group_k):
     # clip roundoff past the Cauchy-Schwarz bound
     bound = np.sqrt(var_j * var_k)
     cov_jk = np.clip(cov_jk, -bound, bound)
-    return VoxelStats(var_j=var_j, var_k=var_k, cov_jk=cov_jk)
+    return var_j, var_k, cov_jk

@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .imaging import (
-    VoxelStats,
     check_mask,
     check_stack,
     coil_combine,
@@ -33,7 +32,6 @@ from .simulate import sample_noise
 
 __all__ = [
     "ChannelSplit",
-    "WhiteningMaps",
     "TrainingPair",
     "split_channels",
     "whitening_coefficients",
@@ -67,16 +65,6 @@ class ChannelSplit:
 
 
 @dataclass(frozen=True)
-class WhiteningMaps:
-    """Per-voxel whitening coefficients (a scalar applies to every voxel);
-    n_fallback counts degenerate voxels."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    n_fallback: int = 0
-
-
-@dataclass(frozen=True)
 class TrainingPair:
     image_in: np.ndarray  # I_input, real (H, W)
     image_label: np.ndarray  # whitened label, real (H, W)
@@ -106,21 +94,21 @@ def split_channels(m, rng):
     )
 
 
-def whitening_coefficients(stats: VoxelStats):
-    """Per-voxel (alpha, beta) of the GLS decorrelation.
+def whitening_coefficients(var_j, var_k, cov_jk):
+    """Per-voxel (alpha, beta, n_fallback) of the GLS decorrelation, where
+    n_fallback counts the degenerate voxels.
 
     Voxels with a degenerate 2x2 covariance (determinant below DET_EPS times
     v_j*v_k, or v_k = 0) fall back to pure variance matching: alpha = 0,
     beta = sqrt(v_j / v_k) when v_k > 0, else beta = 1.
     """
-    vj, vk, c = stats.var_j, stats.var_k, stats.cov_jk
-    det = vj * vk - c**2
-    good = (det > DET_EPS * vj * vk) & (vk > 0)
+    det = var_j * var_k - cov_jk**2
+    good = (det > DET_EPS * var_j * var_k) & (var_k > 0)
     root = np.sqrt(np.where(good, det, 1.0))
-    alpha = np.where(good, -c / root, 0.0)
-    beta_fb = np.sqrt(np.where(vk > 0, vj / np.maximum(vk, 1e-300), 1.0))
-    beta = np.where(good, vj / root, beta_fb)
-    return WhiteningMaps(alpha=alpha, beta=beta, n_fallback=int(np.count_nonzero(~good)))
+    alpha = np.where(good, -cov_jk / root, 0.0)
+    beta_fb = np.sqrt(np.where(var_k > 0, var_j / np.maximum(var_k, 1e-300), 1.0))
+    beta = np.where(good, var_j / root, beta_fb)
+    return alpha, beta, int(np.count_nonzero(~good))
 
 
 def combine_all(stack, sens):
@@ -147,11 +135,11 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
     s_j = effective_sensitivity(sens, gj)
     s_k = effective_sensitivity(sens, gk)
     if whiten:
-        wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
+        alpha, beta, n_fallback = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))
     else:
-        wmaps = WhiteningMaps(alpha=0.0, beta=1.0)
-    label = wmaps.alpha * img_in + wmaps.beta * img_lab
-    s_label = wmaps.alpha * s_j + wmaps.beta * s_k
+        alpha, beta, n_fallback = 0.0, 1.0, 0
+    label = alpha * img_in + beta * img_lab
+    s_label = alpha * s_j + beta * s_k
     if np.any(s_label[mask] <= 0):
         warnings.warn("degenerate pair: label sensitivity <= 0 inside mask", stacklevel=2)
 
@@ -159,7 +147,7 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
         image_in=img_in, image_label=label, sens_in=s_j, sens_label=s_label, mask=mask,
         coverage_j=float(np.mean(s_j[mask] >= SENS_FLOOR * s_j.max())),
         coverage_k=float(np.mean(s_k[mask] >= SENS_FLOOR * s_k.max())),
-        n_fallback=wmaps.n_fallback,
+        n_fallback=n_fallback,
     )
 
 
@@ -186,7 +174,7 @@ def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
         raise ValueError(f"the Monte-Carlo check needs n_real >= 2 realizations, got {n_real}")
     sens = np.asarray(sens)
     gj, gk = list(split.group_j), list(split.group_k)
-    wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))  # validates sens, psi
+    alpha, beta, _ = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))  # validates sens, psi
     inside = np.flatnonzero(check_mask(mask, sens.shape[1:]))
 
     s_in = sens.reshape(len(sens), -1)[:, inside]
@@ -215,7 +203,7 @@ def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     va = saa / n - (sa / n) ** 2
     vb = sbb / n - (sb / n) ** 2
     c = sab / n - (sa / n) * (sb / n)
-    alpha, beta = wmaps.alpha.ravel()[inside], wmaps.beta.ravel()[inside]
+    alpha, beta = alpha.ravel()[inside], beta.ravel()[inside]
     cov = np.stack([alpha * va + beta * c, c])
     var = np.stack([alpha**2 * va + 2 * alpha * beta * c + beta**2 * vb, vb])
     corr = np.where((va > 0) & (var > 0), cov / np.sqrt(np.maximum(va * var, 1e-300)), 0.0)

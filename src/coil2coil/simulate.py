@@ -56,7 +56,6 @@ class Ellipse:
 class PhantomSpec:
     grid_size: int
     ellipses: tuple
-    background: complex = 0.0
 
     def __post_init__(self):
         if self.grid_size < 8:
@@ -117,12 +116,12 @@ def _grid(h, w):
 def make_phantom(spec):
     """Render a PhantomSpec to a complex (N, N) image.
 
-    Each voxel is the sum of the amplitudes of the ellipses containing it,
-    plus the background amplitude.  Deterministic.
+    Each voxel is the sum of the amplitudes of the ellipses containing it.
+    Deterministic.
     """
     n = spec.grid_size
     x, y = _grid(n, n)
-    img = np.full((n, n), complex(spec.background), dtype=np.complex128)
+    img = np.zeros((n, n), dtype=np.complex128)
     for e in spec.ellipses:
         img += np.where(e.contains(x, y), complex(e.amplitude), 0.0)
     return img

@@ -122,11 +122,10 @@ class TestPairGeneration:
 
     def test_variance_preservation(self, report):
         phantom, sens, psi, mask, split = whitening_scene()
-        stats = propagate_noise_stats(sens, psi, split.group_j, split.group_k)
-        w = whitening_coefficients(stats)
-        vj, vk, c = stats.var_j, stats.var_k, stats.cov_jk
+        vj, vk, c = propagate_noise_stats(sens, psi, split.group_j, split.group_k)
+        alpha, beta, _ = whitening_coefficients(vj, vk, c)
         good = (vj * vk - c**2 > 1e-9 * vj * vk) & (vk > 0) & mask
-        preserved = w.alpha**2 * vj + w.beta**2 * vk + 2 * w.alpha * w.beta * c
+        preserved = alpha**2 * vj + beta**2 * vk + 2 * alpha * beta * c
         rel = np.abs(preserved[good] - vj[good]) / vj[good]
         worst = float(rel.max())
         report(

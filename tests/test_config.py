@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 3: expected float"):
             parse_config(f"[training]\nepochs = 2\nbase_lr = {value}\n")
 
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ConfigError, match=r"line 3: key 'epochs' in \[training\] already set on line 2"):
+            parse_config("[training]\nepochs = 5\nepochs = 50\n")
+        # a repeated section header does not reset what its keys were set to
+        with pytest.raises(ConfigError, match=r"line 4: key 'epochs' in \[training\] already set on line 2"):
+            parse_config("[training]\nepochs = 5\n[training]\nepochs = 7\n")
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("[phantom]\ngrid_size = 16\n")
@@ -155,3 +164,17 @@ def test_parse_config_fuzz(text):
             value = cfg[section][key]
             assert type(value) is type(default)
             assert not isinstance(value, float) or math.isfinite(value)
+
+
+def test_readme_key_list_matches_defaults():
+    # README's "The N keys, by section" bullets, less their parentheticals,
+    # name every key of DEFAULTS under its section, and N counts them
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    found = re.search(r"The (\d+) keys, by section.*?\n\n(.*?)\n\n", readme, re.S)
+    assert found, "README has no key list"
+    listed = {}
+    for bullet in found.group(2).split("\n- "):
+        names = re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", bullet))
+        listed[names[0].strip("[]")] = names[1:]
+    assert listed == {section: list(keys) for section, keys in DEFAULTS.items()}
+    assert int(found.group(1)) == sum(map(len, DEFAULTS.values()))

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coil2coil.imaging import (
-    VoxelStats,
     coil_combine,
     effective_sensitivity,
     propagate_noise_stats,
@@ -100,17 +99,17 @@ class TestPropagateNoiseStats:
         rng = np.random.default_rng(6)
         _, sens = random_setup(rng)
         psi = np.diag([1.0, 2.0, 0.5, 3.0]).astype(complex)
-        stats = propagate_noise_stats(sens, psi, [0, 1], [2, 3])
-        assert np.allclose(stats.cov_jk, 0.0)
+        _, _, cov_jk = propagate_noise_stats(sens, psi, [0, 1], [2, 3])
+        assert np.allclose(cov_jk, 0.0)
 
     def test_two_channel_substitution(self):
         sens = np.ones((2, 4, 4), dtype=complex)
         rho = 0.3
         psi = np.array([[1.0, rho], [rho, 1.0]], dtype=complex)
-        stats = propagate_noise_stats(sens, psi, [0], [1])
-        assert np.allclose(stats.var_j, 1.0)
-        assert np.allclose(stats.var_k, 1.0)
-        assert np.allclose(stats.cov_jk, rho)
+        var_j, var_k, cov_jk = propagate_noise_stats(sens, psi, [0], [1])
+        assert np.allclose(var_j, 1.0)
+        assert np.allclose(var_k, 1.0)
+        assert np.allclose(cov_jk, rho)
 
     @staticmethod
     def _mc_magnitude_cov(sens_vals, psi, rng, n=1_000_000):
@@ -131,11 +130,11 @@ class TestPropagateNoiseStats:
         sens_vals = rng.uniform(0.5, 1.5, m).astype(complex)
         sens = sens_vals[:, None, None].copy()
         psi = (0.4 * np.eye(m) + 0.6 * np.ones((m, m))).astype(complex)
-        stats = propagate_noise_stats(sens, psi, [0, 1], [2, 3])
+        var_j, var_k, cov_jk = propagate_noise_stats(sens, psi, [0, 1], [2, 3])
         emp = self._mc_magnitude_cov(sens_vals, psi, rng)
-        assert emp[0, 0] == pytest.approx(stats.var_j[0, 0], rel=0.01)
-        assert emp[1, 1] == pytest.approx(stats.var_k[0, 0], rel=0.01)
-        assert emp[0, 1] == pytest.approx(stats.cov_jk[0, 0], rel=0.01)
+        assert emp[0, 0] == pytest.approx(var_j[0, 0], rel=0.01)
+        assert emp[1, 1] == pytest.approx(var_k[0, 0], rel=0.01)
+        assert emp[0, 1] == pytest.approx(cov_jk[0, 0], rel=0.01)
 
     def test_matches_monte_carlo_complex(self):
         # random complex sensitivities and covariance; covariance compared
@@ -145,28 +144,29 @@ class TestPropagateNoiseStats:
         sens_vals = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         sens = sens_vals[:, None, None].copy()
         psi = random_psd(rng, m)
-        stats = propagate_noise_stats(sens, psi, [0, 1], [2, 3])
+        var_j, var_k, cov_jk = propagate_noise_stats(sens, psi, [0, 1], [2, 3])
         emp = self._mc_magnitude_cov(sens_vals, psi, rng)
-        assert emp[0, 0] == pytest.approx(stats.var_j[0, 0], rel=0.01)
-        assert emp[1, 1] == pytest.approx(stats.var_k[0, 0], rel=0.01)
-        scale = np.sqrt(stats.var_j[0, 0] * stats.var_k[0, 0])
-        assert emp[0, 1] == pytest.approx(stats.cov_jk[0, 0], abs=0.01 * scale)
+        assert emp[0, 0] == pytest.approx(var_j[0, 0], rel=0.01)
+        assert emp[1, 1] == pytest.approx(var_k[0, 0], rel=0.01)
+        scale = np.sqrt(var_j[0, 0] * var_k[0, 0])
+        assert emp[0, 1] == pytest.approx(cov_jk[0, 0], abs=0.01 * scale)
 
     def test_cauchy_schwarz_property(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             _, sens = random_setup(rng, m=6)
             psi = random_psd(rng, 6)
-            stats = propagate_noise_stats(sens, psi, [0, 1, 2], [3, 4, 5])
-            assert np.all(stats.cov_jk**2 <= stats.var_j * stats.var_k + 1e-9)
+            var_j, var_k, cov_jk = propagate_noise_stats(sens, psi, [0, 1, 2], [3, 4, 5])
+            assert np.all(cov_jk**2 <= var_j * var_k + 1e-9)
 
     def test_zero_psi(self):
         rng = np.random.default_rng(9)
         _, sens = random_setup(rng)
-        stats = propagate_noise_stats(sens, np.zeros((4, 4), complex), [0, 1], [2, 3])
-        assert np.all(stats.var_j == 0)
-        assert np.all(stats.var_k == 0)
-        assert np.all(stats.cov_jk == 0)
+        zero = np.zeros((4, 4), complex)
+        var_j, var_k, cov_jk = propagate_noise_stats(sens, zero, [0, 1], [2, 3])
+        assert np.all(var_j == 0)
+        assert np.all(var_k == 0)
+        assert np.all(cov_jk == 0)
 
     def test_overlapping_groups_rejected(self):
         rng = np.random.default_rng(10)
@@ -218,18 +218,9 @@ def test_propagate_noise_stats_matches_einsum_oracle(problem):
     # relative to sqrt(var_j * var_k) at the Cauchy-Schwarz bound: the
     # variances psi allows each group, ||psi||_2 * sum_{a in G} |s_a|^2.
     sens, psi, gj, gk = problem
-    stats = propagate_noise_stats(sens, psi, gj, gk)
+    got = propagate_noise_stats(sens, psi, gj, gk)
     top = np.linalg.norm(psi, 2)
     scale = top * np.sqrt(effective_sensitivity(sens, gj) * effective_sensitivity(sens, gk))
-    got = (stats.var_j, stats.var_k, stats.cov_jk)
     for g, want in zip(got, einsum_noise_stats(sens, psi, gj, gk)):
         assert np.all(np.abs(g - want) <= 1e-12 * scale)
 
-
-class TestVoxelStats:
-    def test_invariant_enforced(self):
-        ones = np.ones((2, 2))
-        with pytest.raises(ValueError):
-            VoxelStats(var_j=ones, var_k=ones, cov_jk=2 * ones)
-        with pytest.raises(ValueError):
-            VoxelStats(var_j=-ones, var_k=ones, cov_jk=0 * ones)

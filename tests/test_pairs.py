@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coil2coil.imaging import VoxelStats, effective_sensitivity, propagate_noise_stats
+from coil2coil.imaging import effective_sensitivity, propagate_noise_stats
 from coil2coil.pairs import (
     DET_EPS,
     MC_BUDGET,
@@ -33,11 +33,7 @@ from coil2coil.simulate import (
 
 def stats_of(vj, vk, c):
     shape = np.shape(vj) if np.ndim(vj) else (1, 1)
-    return VoxelStats(
-        var_j=np.full(shape, vj, dtype=float),
-        var_k=np.full(shape, vk, dtype=float),
-        cov_jk=np.full(shape, c, dtype=float),
-    )
+    return tuple(np.full(shape, x, dtype=float) for x in (vj, vk, c))
 
 
 class TestChannelSplit:
@@ -75,16 +71,16 @@ class TestChannelSplit:
 
 class TestWhiteningCoefficients:
     def test_unit_variances_half_correlation(self):
-        w = whitening_coefficients(stats_of(1.0, 1.0, 0.5))
+        alpha, beta, n_fallback = whitening_coefficients(*stats_of(1.0, 1.0, 0.5))
         # det = 3/4: alpha = -0.5/sqrt(0.75), beta = 1/sqrt(0.75)
-        assert w.alpha[0, 0] == pytest.approx(-0.5773502691896258, rel=1e-12)
-        assert w.beta[0, 0] == pytest.approx(1.1547005383792517, rel=1e-12)
-        assert w.n_fallback == 0
+        assert alpha[0, 0] == pytest.approx(-0.5773502691896258, rel=1e-12)
+        assert beta[0, 0] == pytest.approx(1.1547005383792517, rel=1e-12)
+        assert n_fallback == 0
 
     def test_uncorrelated_variance_matching(self):
-        w = whitening_coefficients(stats_of(4.0, 1.0, 0.0))
-        assert w.alpha[0, 0] == 0.0
-        assert w.beta[0, 0] == pytest.approx(2.0, rel=1e-12)
+        alpha, beta, _ = whitening_coefficients(*stats_of(4.0, 1.0, 0.0))
+        assert alpha[0, 0] == 0.0
+        assert beta[0, 0] == pytest.approx(2.0, rel=1e-12)
 
     def test_variance_preservation_identity(self):
         # var(alpha*in + beta*label) must equal var(in)
@@ -92,8 +88,8 @@ class TestWhiteningCoefficients:
         vj = rng.uniform(0.5, 4.0, (6, 6))
         vk = rng.uniform(0.5, 4.0, (6, 6))
         c = rng.uniform(-0.9, 0.9, (6, 6)) * np.sqrt(vj * vk)
-        w = whitening_coefficients(stats_of(vj, vk, c))
-        preserved = w.alpha**2 * vj + w.beta**2 * vk + 2 * w.alpha * w.beta * c
+        alpha, beta, _ = whitening_coefficients(*stats_of(vj, vk, c))
+        preserved = alpha**2 * vj + beta**2 * vk + 2 * alpha * beta * c
         assert np.allclose(preserved, vj, rtol=1e-10)
 
     def test_decorrelation_identity(self):
@@ -102,28 +98,27 @@ class TestWhiteningCoefficients:
         vj = rng.uniform(0.5, 4.0, (6, 6))
         vk = rng.uniform(0.5, 4.0, (6, 6))
         c = rng.uniform(-0.9, 0.9, (6, 6)) * np.sqrt(vj * vk)
-        w = whitening_coefficients(stats_of(vj, vk, c))
-        assert np.allclose(w.alpha * vj + w.beta * c, 0.0, atol=1e-12)
+        alpha, beta, _ = whitening_coefficients(*stats_of(vj, vk, c))
+        assert np.allclose(alpha * vj + beta * c, 0.0, atol=1e-12)
 
     def test_scale_invariance(self):
         # multiplying all three statistics by t leaves (alpha, beta) unchanged
-        base = stats_of(2.0, 3.0, 1.1)
-        scaled = stats_of(2.0 * 7.5, 3.0 * 7.5, 1.1 * 7.5)
-        wa, wb = whitening_coefficients(base), whitening_coefficients(scaled)
-        assert np.allclose(wa.alpha, wb.alpha, rtol=1e-12)
-        assert np.allclose(wa.beta, wb.beta, rtol=1e-12)
+        alpha, beta, _ = whitening_coefficients(*stats_of(2.0, 3.0, 1.1))
+        alpha_t, beta_t, _ = whitening_coefficients(*stats_of(2.0 * 7.5, 3.0 * 7.5, 1.1 * 7.5))
+        assert np.allclose(alpha, alpha_t, rtol=1e-12)
+        assert np.allclose(beta, beta_t, rtol=1e-12)
 
     def test_degenerate_fallback(self):
         # perfectly correlated voxel: fall back to variance matching
-        w = whitening_coefficients(stats_of(4.0, 1.0, 2.0))
-        assert w.n_fallback == 1
-        assert w.alpha[0, 0] == 0.0
-        assert w.beta[0, 0] == pytest.approx(2.0)
+        alpha, beta, n_fallback = whitening_coefficients(*stats_of(4.0, 1.0, 2.0))
+        assert n_fallback == 1
+        assert alpha[0, 0] == 0.0
+        assert beta[0, 0] == pytest.approx(2.0)
         # zero label variance: beta = 1
-        w0 = whitening_coefficients(stats_of(1.0, 0.0, 0.0))
-        assert w0.n_fallback == 1
-        assert w0.alpha[0, 0] == 0.0
-        assert w0.beta[0, 0] == 1.0
+        alpha, beta, n_fallback = whitening_coefficients(*stats_of(1.0, 0.0, 0.0))
+        assert n_fallback == 1
+        assert alpha[0, 0] == 0.0
+        assert beta[0, 0] == 1.0
 
 
 class SyntheticScene:
@@ -228,8 +223,8 @@ def label_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     drawn at the masked voxels only."""
     gj, gk = list(split.group_j), list(split.group_k)
     inside = np.flatnonzero(mask)
-    wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
-    alpha, beta = wmaps.alpha.ravel()[inside], wmaps.beta.ravel()[inside]
+    alpha, beta, _ = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))
+    alpha, beta = alpha.ravel()[inside], beta.ravel()[inside]
     s_in = sens.reshape(len(sens), -1)[:, inside]
     x_in = phantom.ravel()[inside]
     uj, uk = s_in[gj].conj(), s_in[gk].conj()
@@ -271,7 +266,7 @@ def full_grid_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     chunked by the same rule, so with an all-true mask its draws are the
     same."""
     gj, gk = list(split.group_j), list(split.group_k)
-    wmaps = whitening_coefficients(propagate_noise_stats(sens, psi, gj, gk))
+    alpha, beta, _ = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))
     clean = sens * phantom
     uj = sens[gj].conj().reshape(len(gj), -1)
     uk = sens[gk].conj().reshape(len(gk), -1)
@@ -294,7 +289,7 @@ def full_grid_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     va = saa / n - (sa / n) ** 2
     vb = sbb / n - (sb / n) ** 2
     c = sab / n - (sa / n) * (sb / n)
-    alpha, beta = wmaps.alpha.ravel(), wmaps.beta.ravel()
+    alpha, beta = alpha.ravel(), beta.ravel()
     cov = np.stack([alpha * va + beta * c, c])
     var = np.stack([alpha**2 * va + 2 * alpha * beta * c + beta**2 * vb, vb])
     corr = np.where((va > 0) & (var > 0), cov / np.sqrt(np.maximum(va * var, 1e-300)), 0.0)
@@ -437,21 +432,25 @@ def whitening_problems(draw):
 @given(whitening_problems())
 def test_whitening_invariants(problem):
     sens, psi, split, rng = problem
-    stats = propagate_noise_stats(sens, psi, split.group_j, split.group_k)
-    vj, vk, c = stats.var_j, stats.var_k, stats.cov_jk
-    w = whitening_coefficients(stats)
+    vj, vk, c = propagate_noise_stats(sens, psi, split.group_j, split.group_k)
+    alpha, beta, n_fallback = whitening_coefficients(vj, vk, c)
+
+    # the statistics are a valid 2x2 covariance with no slack: the clamp and
+    # the Cauchy-Schwarz clip in propagate_noise_stats guarantee it exactly
+    assert np.all(vj >= 0) and np.all(vk >= 0)
+    assert np.all(np.abs(c) <= np.sqrt(vj * vk))
 
     # fallback exactly where the determinant is degenerate or v_k = 0, and
     # there pure variance matching
     fallback = (vj * vk - c**2 <= DET_EPS * vj * vk) | (vk == 0)
-    assert w.n_fallback == np.count_nonzero(fallback)
-    assert np.all(w.alpha[fallback] == 0.0)
+    assert n_fallback == np.count_nonzero(fallback)
+    assert np.all(alpha[fallback] == 0.0)
     matched = np.where(vk > 0, np.sqrt(vj / np.where(vk > 0, vk, 1.0)), 1.0)
-    assert np.array_equal(w.beta[fallback], matched[fallback])
+    assert np.array_equal(beta[fallback], matched[fallback])
 
     # elsewhere: variance preserved and the input/label covariance zeroed, to
     # roundoff relative to the terms summed
-    a, b, vj, vk, c = (x[~fallback] for x in (w.alpha, w.beta, vj, vk, c))
+    a, b, vj, vk, c = (x[~fallback] for x in (alpha, beta, vj, vk, c))
     terms = a**2 * vj + np.abs(2 * a * b * c) + b**2 * vk
     assert np.all(np.abs(a**2 * vj + 2 * a * b * c + b**2 * vk - vj) <= 1e-12 * terms)
     assert np.all(np.abs(a * vj + b * c) <= 1e-12 * (np.abs(a) * vj + np.abs(b * c)))
@@ -461,7 +460,7 @@ def test_whitening_invariants(problem):
     with warnings.catch_warnings():  # a drawn geometry may give a non-positive label map
         warnings.simplefilter("ignore", UserWarning)
         pair = make_training_pair(sens * x, sens, psi, split, np.ones((6, 7), bool))
-    assert pair.n_fallback == w.n_fallback
+    assert pair.n_fallback == n_fallback
     s_k = effective_sensitivity(sens, split.group_k)
-    bound = 1e-12 * (np.abs(w.alpha) * pair.sens_in + np.abs(w.beta) * s_k) * np.abs(x)
+    bound = 1e-12 * (np.abs(alpha) * pair.sens_in + np.abs(beta) * s_k) * np.abs(x)
     assert np.all(np.abs(pair.image_label - pair.sens_label * np.abs(x)) <= bound)

@@ -24,21 +24,16 @@ class TestMakePhantom:
         spec = PhantomSpec(16, (Ellipse(0, 0, 10, 10, 0, 1.0),))
         assert np.allclose(make_phantom(spec), 1.0)
 
-    def test_background_only(self):
-        spec = PhantomSpec(16, (Ellipse(5, 5, 0.01, 0.01, 0, 1.0),), background=0.3)
-        img = make_phantom(spec)
-        assert np.allclose(img, 0.3)  # ellipse center is outside the grid
-
     def test_overlap_adds_with_oracle(self):
         e1 = Ellipse(-0.2, 0.0, 0.5, 0.4, 0.3, 1.0)
         e2 = Ellipse(0.2, 0.1, 0.4, 0.5, 1.1, 0.5 + 0.25j)
-        spec = PhantomSpec(12, (e1, e2), background=0.1)
+        spec = PhantomSpec(12, (e1, e2))
         img = make_phantom(spec)
         xs = np.linspace(-1, 1, 12)
         for r in range(12):
             for c in range(12):
                 x, y = xs[c], xs[r]
-                want = 0.1
+                want = 0.0
                 for e in (e1, e2):
                     cth, sth = np.cos(e.angle), np.sin(e.angle)
                     u = cth * (x - e.cx) + sth * (y - e.cy)
