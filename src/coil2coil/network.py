@@ -6,16 +6,15 @@ the network input to the final conv output.  Single image channel in and
 out.  It computes in the dtype of its parameters: float32 from init_network
 and checkpoints, float64 in gradient_check's finite-difference comparison.
 
-Activations are channels-last, (N, H, W, C).  Every convolution -- the
-forward pass and both gradients -- is im2col + GEMM over 256 KiB blocks of
-patch rows, split evenly (_patch_blocks); train mode keeps each conv's
-input, not its patches, and the weight gradient rebuilds them.  Leaky ReLU
-and its backward work in place, bit-identical to their out-of-place
-formulas.  Batch norm's backward is three in-place passes over the fresh
-gradient with GEMV channel sums; in eval mode batch norm is folded into
-its conv's kernel and a bias.  Only the first and the last conv carry a
-bias: a bias feeding batch norm is cancelled by its mean subtraction, so
-it would be a dead parameter.
+Activations are channels-first, (C, N, H, W), so bias, batch norm and their
+gradients work on one contiguous row per channel.  Every convolution -- the
+forward pass and both gradients -- is im2col + GEMM over 256 KiB patch
+blocks of contiguous runs of the zero-padded images (_patch_blocks); train
+mode keeps each conv's input, not its patches.  Leaky ReLU and its backward
+work in place, bit-identical to their out-of-place formulas.  Eval mode
+folds batch norm into its conv's kernel and a bias.  Only the first and the
+last conv carry a bias: a bias feeding batch norm is cancelled by its mean
+subtraction, so it would be a dead parameter.
 """
 
 from __future__ import annotations
@@ -140,10 +139,7 @@ class AdamState:
 def _layer_channels(config):
     """(C_in, C_out) per conv layer."""
     f = config.features
-    chans = [(1, f)]
-    chans += [(f, f)] * (config.depth - 2)
-    chans.append((f, 1))
-    return chans
+    return [(1, f)] + [(f, f)] * (config.depth - 2) + [(f, 1)]
 
 
 def init_network(config, rng):
@@ -166,37 +162,50 @@ def init_network(config, rng):
     ).astype(np.float32)
 
 
-# Entries of one block of patch rows, 256 KiB at float32: it stays in L2
+# Entries of one block of patch columns, 256 KiB at float32: it stays in L2
 # and is reused from the heap, where one whole-image patch matrix (21 MB at
 # 192x192x16) is fresh memory whose page faults cost as much as its GEMM.
 _BLOCK_ELEMS = 1 << 16
 
 
 def _patch_blocks(x, k):
-    """Yield (index, patches) over blocks of rows of each image in
-    channels-last x (N, H, W, C): x[index] is the block, and patches its
-    zero-padded (rows * W, k*k*C) im2col matrix, C innermost.  An image's
+    """Yield (index, patches) over blocks of rows of each image in x (C, N,
+    H, W): x[:, b, rows] is the block at index (b, rows), and patches its
+    (k*k*C, rows * Wp) im2col matrix, rows in a kernel's (C, k, k) order.
+    Each row of Wp = W + k - 1 columns ends in k - 1 junk ones.  An image's
     blocks differ by at most one row; each fits _BLOCK_ELEMS if a row does."""
-    n, h, wd, c = x.shape
-    p = (k - 1) // 2
-    xp = np.zeros((n, h + 2 * p, wd + 2 * p, c), x.dtype)
-    xp[:, p : p + h, p : p + wd] = x
-    win = as_strided(xp, (n, h, wd, k, k, c), xp.strides[:3] + xp.strides[1:], writeable=False)
-    blocks = math.ceil(h / max(1, _BLOCK_ELEMS // (wd * k * k * c)))
+    c, n, h, wd = x.shape
+    p, hp, wp = (k - 1) // 2, h + k - 1, wd + k - 1
+    flat = np.zeros((c, n * hp * wp + (k - 1) * (wp + 1)), x.dtype)  # the tail feeds junk columns
+    flat[:, : n * hp * wp].reshape(c, n, hp, wp)[:, :, p : p + h, p : p + wd] = x
+    s = flat.strides[1]
+    win = as_strided(flat, (c, k, k, n * hp * wp), (flat.strides[0], wp * s, s, s), writeable=False)
+    blocks = math.ceil(h / max(1, _BLOCK_ELEMS // (wp * k * k * c)))
     for b, r in np.ndindex(n, blocks):
-        rows = slice(r * h // blocks, (r + 1) * h // blocks)
-        yield (b, rows), win[b, rows].reshape(-1, k * k * c)
+        top, end = r * h // blocks, (r + 1) * h // blocks
+        yield (b, slice(top, end)), win[..., (b * hp + top) * wp : (b * hp + end) * wp].reshape(k * k * c, -1)
 
 
 def _conv(x, w):
-    """Zero-padded 'same' correlation of channels-last x (N, H, W, C) with
-    w (F, C, k, k): one GEMM per patch block, into y (N, H, W, F)."""
+    """Zero-padded 'same' correlation of channels-first x (C, N, H, W) with
+    w (F, C, k, k): one GEMM per patch block, into y (F, N, H, W)."""
     f, c, k, _ = w.shape
-    wmat = w.transpose(2, 3, 1, 0).reshape(k * k * c, f)
-    y = np.empty(x.shape[:3] + (f,), x.dtype)
-    for i, patches in _patch_blocks(x, k):
-        np.matmul(patches, wmat, out=y[i].reshape(-1, f))
+    wmat, wd = w.reshape(f, -1), x.shape[3]
+    y = np.empty((f,) + x.shape[1:], x.dtype)
+    for (b, rows), patches in _patch_blocks(x, k):
+        y[:, b, rows] = (wmat @ patches).reshape(f, -1, wd + k - 1)[..., :wd]
     return y
+
+
+def _weight_grad(x, dy, k):
+    """dw (F, C, k, k) of _conv(x, w) from dy: patches @ g.T, g dy with zero
+    junk columns.  Its last block and g are freed before backward's next conv."""
+    f, wd, dw = len(dy), dy.shape[3], 0
+    for (b, rows), patches in _patch_blocks(x, k):
+        g = np.zeros((f, rows.stop - rows.start, wd + k - 1), dy.dtype)
+        g[..., :wd] = dy[:, b, rows]
+        dw += patches @ g.reshape(f, -1).T
+    return dw.T.reshape(f, len(x), k, k)
 
 
 def _leaky_forward(x, slope):
@@ -215,32 +224,32 @@ def _leaky_backward(dy, x, slope):
 
 
 def _channel_sum(x):
-    """Sum of channels-last x over every axis but the last, as one GEMV."""
-    return np.ones(x.size // x.shape[-1], x.dtype) @ x.reshape(-1, x.shape[-1])
+    """Sum of channels-first x over every axis but the first, as one GEMV."""
+    return x.reshape(len(x), -1) @ np.ones(x[0].size, x.dtype)
 
 
 def _bn_forward_train(x, scale, shift, eps):
-    axes = (0, 1, 2)
-    mean = x.mean(axis=axes)
+    axes = (1, 2, 3)  # a channel's contiguous row
+    mean = x.mean(axis=axes, keepdims=True)
     xhat = x - mean
-    var = (xhat * xhat).mean(axis=axes)  # biased; the same sums as x.var
+    var = (xhat * xhat).mean(axis=axes, keepdims=True)  # biased; the same sums as x.var
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    y = xhat * scale
-    y += shift
-    return y, (xhat, scale * inv_std), mean, var
+    y = xhat * scale[:, None, None, None]
+    y += shift[:, None, None, None]
+    return y, (xhat, scale[:, None, None, None] * inv_std), mean.ravel(), var.ravel()
 
 
 def _bn_backward(dy, cache):
     """In place on dy: dx = a*dy - (a*dscale/n)*xhat - a*dshift/n with
     a = scale*inv_std, three passes over the activation."""
     xhat, a = cache
-    n = dy.size // dy.shape[-1]
+    c, n = len(dy), dy[0].size
     dshift = _channel_sum(dy)
-    dscale = np.einsum("nhwc,nhwc->c", dy, xhat)
+    dscale = (dy.reshape(c, 1, n) @ xhat.reshape(c, n, 1)).ravel()  # one dot product per channel
     dy *= a
-    dy -= (a * dscale / n) * xhat
-    dy -= a * dshift / n
+    dy -= (a * dscale.reshape(a.shape) / n) * xhat
+    dy -= a * dshift.reshape(a.shape) / n
     return dy, dscale, dshift
 
 
@@ -260,9 +269,8 @@ def forward(params, batch, train=False):
         raise ValueError(f"batch must be (N, H, W), got {batch.shape}")
     cfg = params.config
     cache = {"input_shape": batch.shape, "train": train, "inputs": [], "bn": []}
-    last = len(params.weights) - 1
-    mom = cfg.bn_momentum
-    x = batch[..., None]  # (N, H, W, 1)
+    last, mom = len(params.weights) - 1, cfg.bn_momentum
+    x = batch[None]  # (1, N, H, W)
     for i, w in enumerate(params.weights):
         j = i - 1  # batch-norm index of a middle layer
         if train:
@@ -274,18 +282,16 @@ def forward(params, batch, train=False):
         if i == last:
             break
         if i == 0:
-            y += params.biases[0]
+            y += params.biases[0][:, None, None, None]
         elif train:
-            y, bn_cache, mean, var = _bn_forward_train(
-                y, params.bn_scale[j], params.bn_shift[j], cfg.bn_eps
-            )
+            y, bn_cache, mean, var = _bn_forward_train(y, params.bn_scale[j], params.bn_shift[j], cfg.bn_eps)
             cache["bn"].append(bn_cache)
             params.bn_mean[j] = mom * params.bn_mean[j] + (1 - mom) * mean
             params.bn_var[j] = mom * params.bn_var[j] + (1 - mom) * var
         else:
-            y += folded
+            y += folded[:, None, None, None]
         x = _leaky_forward(y, cfg.leaky_slope)
-    out = y[..., 0]
+    out = y[0]
     out += params.biases[1]
     out += batch
     return out, cache
@@ -303,7 +309,7 @@ def backward(params, cache, output_grads):
     dy = np.asarray(output_grads, dtype=params.weights[0].dtype)
     if dy.shape != cache["input_shape"]:
         raise ValueError("output gradient shape does not match cached batch")
-    dy = dy[..., None]
+    dy = dy[None]
     last = len(params.weights) - 1
     grads = {f"conv{last}.bias": _channel_sum(dy)}
     for i in range(last, -1, -1):
@@ -313,12 +319,9 @@ def backward(params, cache, output_grads):
                 grads["conv0.bias"] = _channel_sum(dy)
             else:
                 dy, grads[f"bn{i - 1}.scale"], grads[f"bn{i - 1}.shift"] = _bn_backward(dy, cache["bn"][i - 1])
-        w = params.weights[i]
-        f, c, k, _ = w.shape
-        dw = sum(dy[b].reshape(-1, f).T @ patches for b, patches in _patch_blocks(cache["inputs"][i], k))
-        grads[f"conv{i}.weight"] = dw.reshape(f, k, k, c).transpose(0, 3, 1, 2)
+        grads[f"conv{i}.weight"] = _weight_grad(cache["inputs"][i], dy, cfg.kernel_size)
         if i > 0:  # input gradient: correlation with the flipped, transposed kernel
-            dy = _conv(dy, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            dy = _conv(dy, params.weights[i].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
     return grads
 
 
@@ -358,8 +361,7 @@ def gradient_check(rng):
     for i in range(len(params.bn_scale)):
         params.bn_scale[i] = 1.0 + 0.1 * rng.standard_normal(params.bn_scale[i].shape)
         params.bn_shift[i] = 0.1 * rng.standard_normal(params.bn_shift[i].shape)
-    batch = rng.standard_normal(GRADCHECK_BATCH)
-    target = rng.standard_normal(GRADCHECK_BATCH)
+    batch, target = rng.standard_normal((2, *GRADCHECK_BATCH))
     weight = rng.uniform(0.5, 1.5, size=GRADCHECK_BATCH)
 
     def loss_of(p):  # on a copy: train mode updates the running statistics
@@ -372,9 +374,7 @@ def gradient_check(rng):
     worst = 0.0
     for name, arr in params.flat():
         g = grads[name]
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + GRADCHECK_STEP
             lp = loss_of(params)

@@ -100,17 +100,17 @@ class TestConv:
     def test_matches_scipy_correlate(self, k, rows, monkeypatch):
         rng = np.random.default_rng(k)
         n, c, f = rng.integers(1, 4, size=3)
-        x = rng.standard_normal((n, 7, 9, c))
+        x = rng.standard_normal((c, n, 7, 9))
         w = rng.standard_normal((f, c, k, k))
-        if rows is not None:
-            monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * 9 * k * k * c)
+        if rows is not None:  # a patch row spans the padded width 9 + k - 1
+            monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * (9 + k - 1) * k * k * c)
         y = _conv(x, w)
-        ref = np.zeros((n, 7, 9, f))
+        ref = np.zeros((f, n, 7, 9))
         for b in range(n):
             for fi in range(f):
                 for ci in range(c):
-                    ref[b, :, :, fi] += correlate(x[b, :, :, ci], w[fi, ci], mode="constant")
-        assert y.shape == (n, 7, 9, f)
+                    ref[fi, b] += correlate(x[ci, b], w[fi, ci], mode="constant")
+        assert y.shape == (f, n, 7, 9)
         assert np.allclose(y, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -124,15 +124,16 @@ class TestConv:
     block_elems=st.integers(1, 5000),
 )
 def test_patch_blocks_partition_the_rows(n, h, w, c, k, block_elems):
-    row = w * k * k * c  # entries of one image row's patches
+    wp = w + k - 1  # padded width: columns of one image row's patches
+    row = wp * k * k * c  # entries of one image row's patches
     seen = np.zeros((n, h), int)
     heights = {b: [] for b in range(n)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_BLOCK_ELEMS", block_elems)
-        for (b, rows), patches in _patch_blocks(np.zeros((n, h, w, c)), k):
+        for (b, rows), patches in _patch_blocks(np.zeros((c, n, h, w)), k):
             seen[b, rows] += 1
             heights[b].append(rows.stop - rows.start)
-            assert patches.shape == (heights[b][-1] * w, k * k * c)
+            assert patches.shape == (k * k * c, heights[b][-1] * wp)
             assert patches.size <= max(block_elems, row)
     assert np.all(seen == 1)
     for hs in heights.values():
@@ -229,19 +230,34 @@ class TestForward:
             params.bn_mean[j] = rng.standard_normal(3)
             params.bn_var[j] = rng.uniform(0.2, 2.0, 3)
         x = rng.standard_normal((2, 10, 9))
-        h = x[..., None]
+        h = x[None]
         for i, w in enumerate(params.weights[:-1]):
             y = _conv(h, w)
             if i == 0:
-                y = y + params.biases[0]
+                y = y + params.biases[0][:, None, None, None]
             else:
                 j = i - 1
-                y = (y - params.bn_mean[j]) / np.sqrt(params.bn_var[j] + cfg.bn_eps)
-                y = y * params.bn_scale[j] + params.bn_shift[j]
+                mean, var = params.bn_mean[j][:, None, None, None], params.bn_var[j][:, None, None, None]
+                y = (y - mean) / np.sqrt(var + cfg.bn_eps)
+                y = y * params.bn_scale[j][:, None, None, None] + params.bn_shift[j][:, None, None, None]
             h = np.where(y >= 0, y, cfg.leaky_slope * y)
-        want = _conv(h, params.weights[-1])[..., 0] + params.biases[1] + x
+        want = _conv(h, params.weights[-1])[0] + params.biases[1] + x
         out, _ = forward(params, x, train=False)
         assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(3, 1, 6), (3, 6, 1), (2, 1, 1), (3, 5, 9), (2, 11, 4)])
+    def test_a_batch_equals_its_images(self, shape, k):
+        # the images of a batch share one flat zero-padded buffer: each
+        # image's eval output is bit for bit its output alone, so no patch
+        # reads across an image's border or past the buffer's tail
+        params = init_network(NetworkConfig(depth=4, features=3, kernel_size=k), np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        forward(params, rng.standard_normal((4, 6, 6)), train=True)  # nontrivial folded batch norm
+        batch = rng.standard_normal(shape)
+        out, _ = forward(params, batch, train=False)
+        alone = np.stack([forward(params, image, train=False)[0][0] for image in batch])
+        assert np.array_equal(out.view(np.uint32), alone.view(np.uint32))
 
     def test_train_mode_updates_running_stats(self):
         params = init_network(tiny_config(), np.random.default_rng(12))
@@ -354,21 +370,24 @@ class TestInPlaceKernels:
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    @pytest.mark.parametrize("shape", [(2, 8, 8, 3), (4, 48, 40, 16)])
+    @pytest.mark.parametrize("shape", [(3, 2, 8, 8), (16, 4, 48, 40)])
     def test_bn_train_statistics_match_mean_and_var(self, shape):
         x = 3.0 * np.random.default_rng(21).standard_normal(shape) + 1.0
-        c = shape[-1]
+        c = shape[0]
         _, _, mean, var = _bn_forward_train(x, np.ones(c), np.zeros(c), 1e-5)
-        assert np.array_equal(_bits(mean), _bits(x.mean(axis=(0, 1, 2))))
-        assert np.array_equal(_bits(var), _bits(x.var(axis=(0, 1, 2))))
+        assert np.array_equal(_bits(mean), _bits(x.mean(axis=(1, 2, 3))))
+        assert np.array_equal(_bits(var), _bits(x.var(axis=(1, 2, 3))))
 
 
 def _bn_backward_four_pass(dy, xhat, inv_std, scale):
-    """Batch norm's input gradient as the four-pass formula: the reference."""
-    n_eff = dy.shape[0] * dy.shape[1] * dy.shape[2]
+    """Batch norm's input gradient as the four-pass formula on channels-first
+    (C, N, H, W) arrays, with (C, 1, 1, 1) inv_std and scale: the reference."""
+    n_eff = dy.shape[1] * dy.shape[2] * dy.shape[3]
     dxhat = dy * scale
     return (
-        dxhat - dxhat.mean(axis=(0, 1, 2)) - xhat * (dxhat * xhat).sum(axis=(0, 1, 2)) / n_eff
+        dxhat
+        - dxhat.mean(axis=(1, 2, 3), keepdims=True)
+        - xhat * (dxhat * xhat).sum(axis=(1, 2, 3), keepdims=True) / n_eff
     ) * inv_std
 
 
@@ -378,12 +397,13 @@ class TestBackward:
         # scale, shift and batch away from their initial values; the float64
         # formula is the reference for both dtypes
         rng = np.random.default_rng(27)
-        x = 2.0 * rng.standard_normal((3, 6, 5, 4)) + 0.5
+        x = 2.0 * rng.standard_normal((4, 3, 6, 5)) + 0.5
         dy = rng.standard_normal(x.shape)
         scale, shift, eps = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4), 1e-5
         _, (xhat, _), _, var = _bn_forward_train(x, scale, shift, eps)
-        dx = _bn_backward_four_pass(dy, xhat, 1.0 / np.sqrt(var + eps), scale)
-        want = dx, (dy * xhat).sum(axis=(0, 1, 2)), dy.sum(axis=(0, 1, 2))
+        column = (4, 1, 1, 1)
+        dx = _bn_backward_four_pass(dy, xhat, 1.0 / np.sqrt(var + eps).reshape(column), scale.reshape(column))
+        want = dx, (dy * xhat).sum(axis=(1, 2, 3)), dy.sum(axis=(1, 2, 3))
         _, cache, _, _ = _bn_forward_train(x.astype(dtype), scale.astype(dtype), shift.astype(dtype), eps)
         got = _bn_backward(dy.astype(dtype), cache)
         for name, a, b in zip(("dx", "dscale", "dshift"), got, want):
@@ -420,8 +440,9 @@ class TestBackward:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_gradient_check_with_row_blocks(self, rows, monkeypatch):
-        # the check's 8x8 images fit one patch block; force blocks of rows
-        monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * 8 * 3 * 3 * 2)
+        # the check's 8x8 images fit one patch block; force blocks of rows,
+        # each row 8 + 2 padded columns of 3x3 patches over 2 channels
+        monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * (8 + 2) * 3 * 3 * 2)
         assert gradient_check(rng=np.random.default_rng(0)) <= 1e-4
 
     def test_every_parameter_gets_a_gradient(self):

@@ -176,12 +176,22 @@ def fuzzed_records(draw):
 @given(data=fuzzed_records())
 def test_read_tensor_fuzz(tmp_path, data):
     # whatever read_tensor accepts is finite and writes back to the same
-    # bytes; anything else is a TensorFormatError, never another exception
+    # bytes; anything else is a TensorFormatError, never another exception.
+    # Either way it allocates no more than a few copies of the record (the
+    # bytes read, the finite-check mask, the array) plus a constant, however
+    # large the dims a flipped byte claims
     path = tmp_path / "fuzz.c2t"
     path.write_bytes(data)
+    tracemalloc.start()
     try:
         arr = read_tensor(path)
     except TensorFormatError:
+        arr = None
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak <= 4 * len(data) + (32 << 10)
+    if arr is None:
         return
     assert arr.dtype == np.bool_ or np.isfinite(arr).all()
     assert tensor_bytes(arr) == data
