@@ -1,4 +1,4 @@
-"""Coil-combination math and analytic noise propagation.
+"""Coil-combination math, per-voxel noise Grams and analytic noise propagation.
 
 Images are numpy arrays: a channel stack is complex with shape (m, H, W),
 a sensitivity map is complex with the same shape, a channel noise
@@ -18,6 +18,8 @@ import numpy as np
 __all__ = [
     "coil_combine",
     "effective_sensitivity",
+    "noise_grams",
+    "magnitude_noise_stats",
     "propagate_noise_stats",
     "check_stack",
     "check_mask",
@@ -86,22 +88,13 @@ def effective_sensitivity(sens, group):
     return np.sum(np.abs(sens[group]) ** 2, axis=0)
 
 
-def propagate_noise_stats(sens, psi, group_j, group_k):
-    """Analytic per-voxel noise statistics (var_j, var_k, cov_jk) of two
-    combined magnitude images, each a real (H, W) array.
-
-    For disjoint channel groups J and K, the magnitude-domain noise of the
-    two combinations (at high SNR, where the noise is effectively the
-    projection of the complex combined noise onto the shared signal phase)
-    has per-voxel variance
-
-        var_j = Re( sum_{a,b in J} conj(s_a) psi_ab s_b )
-
-    and likewise for K, with the covariance summed over J x K.  On the
-    (m, H*W) sensitivities S, one GEMM per group G gives P_G = psi[:, G] @ S[G];
-    var_j, var_k and cov_jk are the channel sums of Re(conj(S) * P) over rows
-    J of P_J, rows K of P_K and rows J of P_K.
-    """
+def noise_grams(sens, psi, group_j, group_k):
+    """Per-voxel noise Grams (H, W) of two disjoint group combinations
+    (Roemer et al. 1990, MRM 16:192): the real g_jj = s_J^H psi s_J and
+    g_kk = s_K^H psi s_K, and the complex cross Gram g_jk = s_J^H psi s_K.
+    One GEMM per group G gives P_G = psi[:, G] @ S[G] on the (m, H*W)
+    sensitivities S; the Grams are the channel sums of conj(S) * P over rows
+    J of P_J, rows K of P_K and rows J of P_K."""
     sens = check_stack(sens)
     m = sens.shape[0]
     gj = _check_group(group_j, m)
@@ -114,13 +107,23 @@ def propagate_noise_stats(sens, psi, group_j, group_k):
     p_j = psi[:, gj] @ s[gj]
     p_k = psi[:, gk] @ s[gk]
 
-    def re_dot(rows, p):  # Re sum_{a in rows} conj(s_a) p_a, per voxel
-        return np.einsum("av,av->v", s[rows].conj(), p[rows]).real.reshape(sens.shape[1:])
+    def dot(rows, p):  # sum_{a in rows} conj(s_a) p_a, per voxel
+        return np.einsum("av,av->v", s[rows].conj(), p[rows]).reshape(sens.shape[1:])
 
-    var_j = np.maximum(re_dot(gj, p_j), 0.0)
-    var_k = np.maximum(re_dot(gk, p_k), 0.0)
-    cov_jk = re_dot(gj, p_k)
-    # clip roundoff past the Cauchy-Schwarz bound
+    return dot(gj, p_j).real, dot(gk, p_k).real, dot(gj, p_k)
+
+
+def magnitude_noise_stats(g_jj, g_kk, g_jk):
+    """High-SNR (var_j, var_k, cov_jk) of two combined magnitude images from
+    their noise_grams: magnitude noise is the complex noise projected on the
+    shared signal phase, so these are the Grams' real parts, the variances
+    clamped at 0 and cov_jk clipped to the Cauchy-Schwarz bound."""
+    var_j = np.maximum(g_jj, 0.0)
+    var_k = np.maximum(g_kk, 0.0)
     bound = np.sqrt(var_j * var_k)
-    cov_jk = np.clip(cov_jk, -bound, bound)
-    return var_j, var_k, cov_jk
+    return var_j, var_k, np.clip(g_jk.real, -bound, bound)
+
+
+def propagate_noise_stats(sens, psi, group_j, group_k):
+    """Analytic per-voxel (var_j, var_k, cov_jk): magnitude_noise_stats of the noise_grams."""
+    return magnitude_noise_stats(*noise_grams(sens, psi, group_j, group_k))

@@ -1,5 +1,5 @@
 """Training-pair generation: channel split, combination, noise whitening,
-and sensitivity bookkeeping.
+sensitivity bookkeeping and the Monte-Carlo check of pair noise independence.
 
 The label is decorrelated from the input by the 2x2 generalized
 least-squares transform: with per-voxel noise variances v_j, v_k and
@@ -26,9 +26,10 @@ from .imaging import (
     check_stack,
     coil_combine,
     effective_sensitivity,
+    magnitude_noise_stats,
+    noise_grams,
     propagate_noise_stats,
 )
-from .simulate import sample_noise
 
 __all__ = [
     "ChannelSplit",
@@ -43,7 +44,7 @@ __all__ = [
 
 DET_EPS = 1e-9  # relative determinant below which whitening falls back
 SENS_FLOOR = 1e-3  # fraction of the peak sensitivity counted as coverage
-MC_BUDGET = 2**20  # complex noise entries (16 MiB) the Monte-Carlo check draws at once
+MC_BUDGET = 2**20  # real normals (8 MiB) the Monte-Carlo check draws at once
 
 
 @dataclass(frozen=True)
@@ -157,53 +158,59 @@ def empirical_noise_correlation(phantom, sens, psi, split, mask, n_real, rng, wh
     return empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng)[0 if whiten else 1]
 
 
+def _combined_noise(g_jj, g_kk, g_jk, n_real, rng):
+    """n_real draws of the combined noises (s_J^H n_J, s_K^H n_K) at each
+    voxel of the noise_grams, as two (n_real, V) arrays.  Under sample_noise
+    they are proper complex Gaussian with covariance 2 G, G = [[g_jj, g_jk],
+    [conj(g_jk), g_kk]], so they are drawn as L w: L the closed-form lower
+    Cholesky factor of G, w two standard complex normals (4 real normals)."""
+    l11 = np.sqrt(np.maximum(g_jj, 0.0))
+    l21 = np.divide(g_jk.conj(), l11, out=np.zeros_like(g_jk), where=l11 > 0)
+    l22 = np.sqrt(np.maximum(g_kk - np.abs(l21) ** 2, 0.0))
+    w1, w2 = rng.standard_normal((2, n_real, np.size(l11), 2)).view(np.complex128)[..., 0]
+    return l11 * w1, l21 * w1 + l22 * w2
+
+
 def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     """Monte-Carlo check of pair noise independence, (whitened, raw).
 
-    Draws n_real realizations of the per-channel noise, only at the masked
-    voxels and in chunks of at most MC_BUDGET entries, and returns the mean
-    absolute per-voxel correlation over the mask between the input
+    Draws n_real realizations of the two combined noises from their 2x2
+    noise Grams (_combined_noise, exact, 4 normals for any m), only at the
+    masked voxels and in chunks of at most MC_BUDGET real normals.  Returns
+    the mean absolute per-voxel correlation over the mask between the input
     magnitude a and the whitened label alpha*a + beta*b, and between a and
     the raw label magnitude b.  Both come from one set of per-voxel sample
-    moments of a and b (variances v_a, v_b and covariance c): the whitened
-    label is linear in a and b, so its covariance with a is
+    moments of a and b (variances v_a, v_b and covariance c), summed shifted
+    by the noise-free |c_j| and |c_k| so the one-pass sums do not cancel:
+    the whitened label is linear in a and b, so its covariance with a is
     alpha*v_a + beta*c and its variance alpha^2*v_a + 2*alpha*beta*c + beta^2*v_b.
     Sample variances need n_real >= 2.
     """
     if n_real < 2:
         raise ValueError(f"the Monte-Carlo check needs n_real >= 2 realizations, got {n_real}")
     sens = np.asarray(sens)
-    gj, gk = list(split.group_j), list(split.group_k)
-    alpha, beta, _ = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))  # validates sens, psi
+    gj, gk = split.group_j, split.group_k
+    grams = noise_grams(sens, psi, gj, gk)  # validates sens and psi, once
+    alpha, beta, _ = whitening_coefficients(*magnitude_noise_stats(*grams))
     inside = np.flatnonzero(check_mask(mask, sens.shape[1:]))
-
-    s_in = sens.reshape(len(sens), -1)[:, inside]
+    g_jj, g_kk, g_jk, alpha, beta = (x.ravel()[inside] for x in (*grams, alpha, beta))
     x_in = np.asarray(phantom).ravel()[inside]
-    uj, uk = s_in[gj].conj(), s_in[gk].conj()
-    cj = np.einsum("cv,cv->v", uj, s_in[gj] * x_in)
-    ck = np.einsum("cv,cv->v", uk, s_in[gk] * x_in)
+    cj, ck = (effective_sensitivity(sens, g).ravel()[inside] * x_in for g in (gj, gk))
 
-    sa, sb, saa, sbb, sab = np.zeros((5, inside.size))
-    chunk = max(1, MC_BUDGET // (len(sens) * inside.size))
+    moments = np.zeros((5, inside.size))  # sums of a, b, a^2, b^2 and a*b
+    chunk = max(1, MC_BUDGET // (4 * inside.size))
     done = 0
     while done < n_real:
         r = min(chunk, n_real - done)
-        noise = sample_noise(psi, (r, inside.size), rng)
-        a = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
-        b = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
-        sa += a.sum(axis=0)
-        sb += b.sum(axis=0)
-        saa += (a**2).sum(axis=0)
-        sbb += (b**2).sum(axis=0)
-        sab += (a * b).sum(axis=0)
-        del noise  # before the next chunk is drawn, so two chunks are never held
+        draws = zip((cj, ck), _combined_noise(g_jj, g_kk, g_jk, r, rng))
+        a, b = (np.abs(clean + e) - np.abs(clean) for clean, e in draws)
+        moments += [x.sum(axis=0) for x in (a, b, a * a, b * b, a * b)]
         done += r
 
-    n = float(n_real)
-    va = saa / n - (sa / n) ** 2
-    vb = sbb / n - (sb / n) ** 2
-    c = sab / n - (sa / n) * (sb / n)
-    alpha, beta = alpha.ravel()[inside], beta.ravel()[inside]
+    ea, eb, eaa, ebb, eab = moments / n_real
+    va = eaa - ea**2
+    vb = ebb - eb**2
+    c = eab - ea * eb
     cov = np.stack([alpha * va + beta * c, c])
     var = np.stack([alpha**2 * va + 2 * alpha * beta * c + beta**2 * vb, vb])
     corr = np.where((va > 0) & (var > 0), cov / np.sqrt(np.maximum(va * var, 1e-300)), 0.0)

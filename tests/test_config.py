@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,11 @@ _LINES = st.one_of(
     st.tuples(st.sampled_from([(sec, key) for sec in DEFAULTS for key in DEFAULTS[sec]]), _VALUES).map(
         lambda kv: f"[{kv[0][0]}]\n{kv[0][1]} = {kv[1]}"
     ),
+    # an integer key, most of them sizes, set to a large value under its section
+    st.tuples(
+        st.sampled_from([(sec, k) for sec, keys in DEFAULTS.items() for k, v in keys.items() if type(v) is int]),
+        st.integers(0, 10**6),
+    ).map(lambda kv: f"[{kv[0][0]}]\n{kv[0][1]} = {kv[1]}"),
     st.text(max_size=20),
 )
 
@@ -152,12 +158,21 @@ _LINES = st.one_of(
 @given(text=st.lists(_LINES, max_size=12).map("\n".join))
 def test_parse_config_fuzz(text):
     # section headers, known keys with drawn values (alone or under their
-    # own section) and arbitrary lines: the text parses to values of each
+    # own section), integer keys with large values and arbitrary lines:
+    # the text parses to values of each
     # default's type, finite where they are floats, or raises ConfigError,
-    # never another exception
+    # never another exception; either way it allocates no more than a few
+    # copies of the text plus a constant, whatever size a value names
+    tracemalloc.start()
     try:
         cfg = parse_config(text)
     except ConfigError:
+        cfg = None
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak <= 4 * len(text) + (32 << 10)
+    if cfg is None:
         return
     for section, keys in DEFAULTS.items():
         for key, default in keys.items():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from coil2coil.imaging import (
     coil_combine,
     effective_sensitivity,
+    noise_grams,
     propagate_noise_stats,
 )
 
@@ -196,14 +197,31 @@ class TestPropagateNoiseStats:
             propagate_noise_stats(sens, bad, [0], [1])
 
 
-def einsum_noise_stats(sens, psi, gj, gk):
-    """(var_j, var_k, cov_jk) as three 3-operand einsums: the form
+def einsum_noise_grams(sens, psi, gj, gk):
+    """(g_jj, g_kk, g_jk) as three complex 3-operand einsums: the form
     propagate_noise_stats had before its GEMMs, kept here as their oracle."""
 
     def quad(ga, gb):
-        return np.einsum("ahw,ab,bhw->hw", sens[ga].conj(), psi[np.ix_(ga, gb)], sens[gb]).real
+        return np.einsum("ahw,ab,bhw->hw", sens[ga].conj(), psi[np.ix_(ga, gb)], sens[gb])
 
     return quad(gj, gj), quad(gk, gk), quad(gj, gk)
+
+
+def gemm_noise_stats(sens, psi, gj, gk):
+    """(var_j, var_k, cov_jk) by the GEMM formula propagate_noise_stats had
+    before noise_grams, whose bits it must keep: the real parts of the
+    channel sums, the variances clamped at 0, the covariance clipped."""
+    s = sens.reshape(len(sens), -1)
+    p_j = psi[:, gj] @ s[gj]
+    p_k = psi[:, gk] @ s[gk]
+
+    def re_dot(rows, p):
+        return np.einsum("av,av->v", s[rows].conj(), p[rows]).real.reshape(sens.shape[1:])
+
+    var_j = np.maximum(re_dot(gj, p_j), 0.0)
+    var_k = np.maximum(re_dot(gk, p_k), 0.0)
+    bound = np.sqrt(var_j * var_k)
+    return var_j, var_k, np.clip(re_dot(gj, p_k), -bound, bound)
 
 
 @st.composite
@@ -231,10 +249,26 @@ def test_propagate_noise_stats_matches_einsum_oracle(problem):
     # Rounding error scales with the terms summed, so the tolerance is
     # relative to sqrt(var_j * var_k) at the Cauchy-Schwarz bound: the
     # variances psi allows each group, ||psi||_2 * sum_{a in G} |s_a|^2.
+    # The Grams match the complex einsums, the cross Gram's imaginary part
+    # included, and the statistics their real parts.
     sens, psi, gj, gk = problem
-    got = propagate_noise_stats(sens, psi, gj, gk)
+    grams = noise_grams(sens, psi, gj, gk)
+    assert np.isrealobj(grams[0]) and np.isrealobj(grams[1])
+    assert np.iscomplexobj(grams[2])
+    got = (*grams, *propagate_noise_stats(sens, psi, gj, gk))
+    want = einsum_noise_grams(sens, psi, gj, gk)
     top = np.linalg.norm(psi, 2)
     scale = top * np.sqrt(effective_sensitivity(sens, gj) * effective_sensitivity(sens, gk))
-    for g, want in zip(got, einsum_noise_stats(sens, psi, gj, gk)):
-        assert np.all(np.abs(g - want) <= 1e-12 * scale)
+    for g, w in zip(got, (*want, *(x.real for x in want))):
+        assert np.all(np.abs(g - w) <= 1e-12 * scale)
 
+
+@settings(max_examples=200, deadline=None)
+@given(noise_problems())
+def test_propagate_noise_stats_keeps_the_gemm_bits(problem):
+    # the statistics are the clamped and clipped real parts of the Grams,
+    # bit for bit what the GEMM formula gave before the Grams were split out
+    sens, psi, gj, gk = problem
+    got = propagate_noise_stats(sens, psi, gj, gk)
+    for g, want in zip(got, gemm_noise_stats(sens, psi, gj, gk)):
+        assert [x.hex() for x in g.ravel()] == [x.hex() for x in want.ravel()]

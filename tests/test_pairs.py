@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coil2coil.imaging import effective_sensitivity, propagate_noise_stats
+from coil2coil.imaging import (
+    effective_sensitivity,
+    magnitude_noise_stats,
+    noise_grams,
+    propagate_noise_stats,
+)
 from coil2coil.pairs import (
     DET_EPS,
     MC_BUDGET,
     ChannelSplit,
+    _combined_noise,
     combine_all,
     empirical_noise_correlation,
     empirical_noise_correlations,
@@ -207,9 +213,16 @@ class TestMakeTrainingPair:
         assert np.allclose(full, np.abs(parts))
 
 
-def mc_chunk(m, n_voxels):
-    """Realizations per Monte-Carlo chunk of m channels at n_voxels voxels."""
-    return max(1, MC_BUDGET // (m * n_voxels))
+def mc_chunk(n_voxels):
+    """Realizations per Monte-Carlo chunk at n_voxels voxels."""
+    return max(1, MC_BUDGET // (4 * n_voxels))
+
+
+def clean_combinations(phantom, sens, split, voxels):
+    """The noise-free group combinations (c_j, c_k) at the flat voxels."""
+    x = phantom.ravel()[voxels]
+    groups = (split.group_j, split.group_k)
+    return tuple(effective_sensitivity(sens, g).ravel()[voxels] * x for g in groups)
 
 
 def label_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
@@ -217,39 +230,29 @@ def label_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     input: the oracle of empirical_noise_correlations, which derives the
     whitened figure from the moments of the input and the raw label.  The
     whitened label alpha*a + beta*b is formed per realization and its
-    correlation with a taken from centered (two-pass) moments, which lose
-    far less to cancellation than one-pass sums do; the raw figure repeats
-    the one-pass sums chunk by chunk, so its bits must agree.  Noise is
-    drawn at the masked voxels only."""
-    gj, gk = list(split.group_j), list(split.group_k)
+    correlation with a taken from centered (two-pass) moments of the
+    unshifted magnitudes; the raw figure repeats the shifted one-pass sums
+    chunk by chunk, so its bits must agree.  The 2x2 noise is drawn at the
+    masked voxels only."""
+    grams = noise_grams(sens, psi, split.group_j, split.group_k)
+    alpha, beta, _ = whitening_coefficients(*magnitude_noise_stats(*grams))
     inside = np.flatnonzero(mask)
-    alpha, beta, _ = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))
-    alpha, beta = alpha.ravel()[inside], beta.ravel()[inside]
-    s_in = sens.reshape(len(sens), -1)[:, inside]
-    x_in = phantom.ravel()[inside]
-    uj, uk = s_in[gj].conj(), s_in[gk].conj()
-    cj = np.einsum("cv,cv->v", uj, s_in[gj] * x_in)
-    ck = np.einsum("cv,cv->v", uk, s_in[gk] * x_in)
-    sa, sb, saa, sbb, sab = np.zeros((5, inside.size))
+    g_jj, g_kk, g_jk, alpha, beta = (x.ravel()[inside] for x in (*grams, alpha, beta))
+    cj, ck = clean_combinations(phantom, sens, split, inside)
+    sums = np.zeros((5, inside.size))
     inputs, labels = [], []
     done = 0
     while done < n_real:
-        r = min(mc_chunk(len(sens), inside.size), n_real - done)
-        noise = sample_noise(psi, (r, inside.size), rng)
-        img_in = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
-        raw = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
-        sa += img_in.sum(axis=0)
-        sb += raw.sum(axis=0)
-        saa += (img_in**2).sum(axis=0)
-        sbb += (raw**2).sum(axis=0)
-        sab += (img_in * raw).sum(axis=0)
+        r = min(mc_chunk(inside.size), n_real - done)
+        e_j, e_k = _combined_noise(g_jj, g_kk, g_jk, r, rng)
+        img_in, raw = np.abs(cj + e_j), np.abs(ck + e_k)
+        da, db = img_in - np.abs(cj), raw - np.abs(ck)
+        sums += [x.sum(axis=0) for x in (da, db, da * da, db * db, da * db)]
         inputs.append(img_in)
         labels.append(alpha * img_in + beta * raw)
         done += r
-    n = float(n_real)
-    va = saa / n - (sa / n) ** 2
-    vb = sbb / n - (sb / n) ** 2
-    cov = sab / n - (sa / n) * (sb / n)
+    ea, eb, eaa, ebb, eab = sums / n_real
+    va, vb, cov = eaa - ea**2, ebb - eb**2, eab - ea * eb
     corr_raw = np.where((va > 0) & (vb > 0), cov / np.sqrt(np.maximum(va * vb, 1e-300)), 0.0)
     da = np.concatenate(inputs)
     da -= da.mean(axis=0)
@@ -261,90 +264,144 @@ def label_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
 
 
 def full_grid_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
-    """(whitened, raw) from noise drawn at every grid voxel, the form
-    empirical_noise_correlations had before it drew only masked voxels;
-    chunked by the same rule, so with an all-true mask its draws are the
-    same."""
-    gj, gk = list(split.group_j), list(split.group_k)
-    alpha, beta, _ = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))
-    clean = sens * phantom
-    uj = sens[gj].conj().reshape(len(gj), -1)
-    uk = sens[gk].conj().reshape(len(gk), -1)
-    cj = np.einsum("cv,cv->v", uj, clean[gj].reshape(len(gj), -1))
-    ck = np.einsum("cv,cv->v", uk, clean[gk].reshape(len(gk), -1))
-    sa, sb, saa, sbb, sab = np.zeros((5, mask.size))
+    """(whitened, raw) from 2x2 noise drawn at every grid voxel, the figures
+    then taken over the mask; chunked by the same rule, so with an all-true
+    mask its draws are the same."""
+    grams = noise_grams(sens, psi, split.group_j, split.group_k)
+    alpha, beta, _ = whitening_coefficients(*magnitude_noise_stats(*grams))
+    g_jj, g_kk, g_jk, alpha, beta = (x.ravel() for x in (*grams, alpha, beta))
+    cj, ck = clean_combinations(phantom, sens, split, np.arange(mask.size))
+    sums = np.zeros((5, mask.size))
     done = 0
     while done < n_real:
-        r = min(mc_chunk(len(sens), mask.size), n_real - done)
-        noise = sample_noise(psi, (r, mask.size), rng)
-        a = np.abs(cj[None] + np.einsum("cv,crv->rv", uj, noise[gj]))
-        b = np.abs(ck[None] + np.einsum("cv,crv->rv", uk, noise[gk]))
-        sa += a.sum(axis=0)
-        sb += b.sum(axis=0)
-        saa += (a**2).sum(axis=0)
-        sbb += (b**2).sum(axis=0)
-        sab += (a * b).sum(axis=0)
+        r = min(mc_chunk(mask.size), n_real - done)
+        e_j, e_k = _combined_noise(g_jj, g_kk, g_jk, r, rng)
+        a, b = np.abs(cj + e_j) - np.abs(cj), np.abs(ck + e_k) - np.abs(ck)
+        sums += [x.sum(axis=0) for x in (a, b, a * a, b * b, a * b)]
         done += r
-    n = float(n_real)
-    va = saa / n - (sa / n) ** 2
-    vb = sbb / n - (sb / n) ** 2
-    c = sab / n - (sa / n) * (sb / n)
-    alpha, beta = alpha.ravel(), beta.ravel()
+    ea, eb, eaa, ebb, eab = sums / n_real
+    va, vb, c = eaa - ea**2, ebb - eb**2, eab - ea * eb
     cov = np.stack([alpha * va + beta * c, c])
     var = np.stack([alpha**2 * va + 2 * alpha * beta * c + beta**2 * vb, vb])
     corr = np.where((va > 0) & (var > 0), cov / np.sqrt(np.maximum(va * var, 1e-300)), 0.0)
     return tuple(float(np.mean(np.abs(x[mask.ravel()]))) for x in corr)
 
 
+def projected_noise(sens, psi, split, voxels, n_real, rng):
+    """The two group combinations' noise (s_J^H n_J, s_K^H n_K) at the given
+    flat voxels, projected from n_real draws of all m channels' noise: the
+    m-channel sampler, kept as the oracle of the 2x2 draws."""
+    s = sens.reshape(len(sens), -1)[:, voxels]
+    noise = sample_noise(psi, (n_real, len(voxels)), rng)
+    groups = (list(split.group_j), list(split.group_k))
+    return tuple(np.einsum("cv,crv->rv", s[g].conj(), noise[g]) for g in groups)
+
+
+def channel_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
+    """(whitened, raw) from the matched-filter combinations of each group's
+    channel signals and m-channel noise, the sampler
+    empirical_noise_correlations used before it drew from the 2x2 Grams, in
+    chunks of 200 realizations; centered (two-pass) moments."""
+    stats = propagate_noise_stats(sens, psi, split.group_j, split.group_k)
+    alpha, beta, _ = whitening_coefficients(*stats)
+    inside = np.flatnonzero(mask)
+    alpha, beta = alpha.ravel()[inside], beta.ravel()[inside]
+    s, x = sens.reshape(len(sens), -1)[:, inside], phantom.ravel()[inside]
+    groups = (list(split.group_j), list(split.group_k))
+    cj, ck = (np.einsum("cv,cv->v", s[g].conj(), s[g] * x) for g in groups)
+    a, b = [], []
+    for done in range(0, n_real, 200):
+        e_j, e_k = projected_noise(sens, psi, split, inside, min(200, n_real - done), rng)
+        a.append(np.abs(cj + e_j))
+        b.append(np.abs(ck + e_k))
+    a, b = (np.concatenate(x) for x in (a, b))
+    a -= a.mean(axis=0)
+    b -= b.mean(axis=0)
+    label = alpha * a + beta * b
+    va = (a * a).mean(axis=0)
+    corr = [(a * x).mean(axis=0) / np.sqrt(va * (x * x).mean(axis=0)) for x in (label, b)]
+    return tuple(float(np.mean(np.abs(c))) for c in corr)
+
+
+def phased_complex_scene(m=6, grid=16, seed=0):
+    """A grid^2 scene of m ring coils with their default phases and a
+    random complex channel covariance, whose cross Grams have a large
+    imaginary part."""
+    rng = np.random.default_rng(seed)
+    phantom = make_phantom(random_phantom_spec(grid, rng))
+    mask = make_mask(phantom)
+    sens = make_sensitivities(CoilSpec.ring(m), phantom.shape)
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    psi = 0.02 * (np.eye(m) + a @ a.conj().T / m)
+    return phantom, sens, psi, mask, ChannelSplit(tuple(range(0, m, 2)), tuple(range(1, m, 2)))
+
+
 class TestEmpiricalNoiseCorrelation:
     @pytest.mark.parametrize("m", [4, 5, 7, 16])
     def test_moments_match_the_label_oracle(self, m):
         # the raw figure is the oracle's bit for bit; the whitened one,
-        # derived from the moments, agrees to roundoff; at m = 16, 1,200
-        # realizations span three chunks
+        # derived from the moments, agrees to roundoff
         scene = SyntheticScene(grid=16, m=m, sigma=0.3, seed=m)
         split = split_channels(m, np.random.default_rng(m + 1))
         args = (scene.phantom, scene.sens, scene.psi, split, scene.mask, 1_200)
-        if m == 16:
-            assert args[-1] > 2 * mc_chunk(m, int(scene.mask.sum()))
         white, raw = empirical_noise_correlations(*args, np.random.default_rng(m + 2))
         white_ref, raw_ref = label_noise_correlations(*args, np.random.default_rng(m + 2))
         assert raw.hex() == raw_ref.hex()
         assert white == pytest.approx(white_ref, rel=1e-12, abs=0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.sampled_from([4, 5, 7, 16]),
+        n_real=st.sampled_from([1_200, 5_000]),
+        seeds=st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
+    )
+    def test_moments_match_the_label_oracle_on_drawn_scenes(self, m, n_real, seeds):
+        # the same bounds on drawn scenes, splits and draws, in one chunk or
+        # (5,000 realizations) several: the moments are summed shifted by the
+        # noise-free magnitudes, so the one-pass variances do not cancel
+        # against the squared means
+        scene = SyntheticScene(grid=16, m=m, sigma=0.3, seed=seeds[0])
+        split = split_channels(m, np.random.default_rng(seeds[1]))
+        args = (scene.phantom, scene.sens, scene.psi, split, scene.mask, n_real)
+        if n_real == 5_000:
+            assert n_real > 2 * mc_chunk(int(scene.mask.sum()))
+        white, raw = empirical_noise_correlations(*args, np.random.default_rng(seeds[2]))
+        white_ref, raw_ref = label_noise_correlations(*args, np.random.default_rng(seeds[2]))
+        assert raw.hex() == raw_ref.hex()
+        assert white == pytest.approx(white_ref, rel=1e-12, abs=0)
+
     def test_all_true_mask_matches_the_full_grid_formula(self):
         # with every voxel masked, drawing at the masked voxels draws what
-        # the full grid did, so both figures keep their bits
+        # the full grid does, so both figures keep their bits
         scene = SyntheticScene(grid=16, m=5, sigma=0.3, seed=8)
         mask = np.ones_like(scene.mask)
-        n_real = 2 * mc_chunk(5, mask.size) + 7
+        n_real = 2 * mc_chunk(mask.size) + 7
         args = (scene.phantom, scene.sens, scene.psi, scene.split, mask, n_real)
         got = empirical_noise_correlations(*args, np.random.default_rng(9))
         want = full_grid_noise_correlations(*args, np.random.default_rng(9))
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
     def test_draws_only_the_masked_voxels(self):
-        # one real and one imaginary normal per channel, realization and
-        # masked voxel, over several chunks
+        # two complex normals (four real ones) per realization and masked
+        # voxel, whatever the channel count, over several chunks
         scene = SyntheticScene(grid=16, m=6, sigma=0.3, seed=2)
         n_inside = int(scene.mask.sum())
         assert n_inside < scene.mask.size
-        n_real = 2 * mc_chunk(6, n_inside) + 3
+        n_real = 2 * mc_chunk(n_inside) + 3
         rng = np.random.default_rng(4)
         empirical_noise_correlations(
             scene.phantom, scene.sens, scene.psi, scene.split, scene.mask, n_real, rng
         )
         ref = np.random.default_rng(4)
-        ref.standard_normal(2 * 6 * n_real * n_inside)
+        ref.standard_normal(4 * n_real * n_inside)
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_peak_memory_is_bounded_by_the_budget(self):
-        # 1,000 realizations of 16 channels at 32x32 are 8M noise entries;
-        # drawn in chunks of at most MC_BUDGET entries, the peak stays
-        # under two and a half budget-sized complex arrays: the chunk and
-        # the GEMM output it is mixed into, plus the per-voxel moments
+        # 1,000 realizations at the masked voxels of a 16-channel 32x32
+        # scene are several chunks of at most MC_BUDGET real normals; the
+        # peak stays under two and a half budget-sized complex arrays
         scene = SyntheticScene(grid=32, m=16, sigma=0.3, seed=1)
-        assert 1_000 * 16 * scene.mask.sum() > 4 * MC_BUDGET
+        assert 1_000 * 4 * scene.mask.sum() > MC_BUDGET
         tracemalloc.start()
         try:
             empirical_noise_correlations(
@@ -355,6 +412,42 @@ class TestEmpiricalNoiseCorrelation:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 16 * MC_BUDGET
+
+    def test_draws_match_the_projected_channel_noise(self):
+        # the 2x2 draws and the m-channel noise projected on the two groups
+        # are the same proper complex Gaussian: per voxel, every entry of
+        # their Hermitian sample covariances E[e e^H] (the imaginary part of
+        # the cross term included) agrees within 5 standard errors of the
+        # difference, sqrt(2 C_jj C_kk / n); the scene's cross Grams have
+        # imaginary parts over 10 standard errors, so a conjugate dropped
+        # from the cross term, which flips their sign, fails
+        phantom, sens, psi, mask, split = phased_complex_scene()
+        voxels = np.flatnonzero(mask)[::7]
+        n = 20_000
+        grams = (x.ravel()[voxels] for x in noise_grams(sens, psi, split.group_j, split.group_k))
+        got = np.stack(_combined_noise(*grams, n, np.random.default_rng(1)))
+        want = np.stack(projected_noise(sens, psi, split, voxels, n, np.random.default_rng(2)))
+        cov_got, cov_want = (np.einsum("irv,krv->ikv", e, e.conj()) / n for e in (got, want))
+        diag = np.diagonal(cov_want.real).T
+        se = np.sqrt(2 * diag[:, None] * diag[None, :] / n)
+        assert np.all(np.abs(cov_got.real - cov_want.real) <= 5 * se)
+        assert np.all(np.abs(cov_got.imag - cov_want.imag) <= 5 * se)
+        assert np.max(np.abs(cov_want[0, 1].imag) / se[0, 1]) > 10
+
+    def test_figures_match_the_channel_noise_oracle(self):
+        # both figures from the 2x2 draws and from projected m-channel noise
+        # agree within Monte-Carlo error: each voxel's correlation estimate
+        # has a standard error of at most 1 / sqrt(n), so a difference of two
+        # independent means of |corr| over V voxels has at most
+        # sqrt(2 / (n V)), and the bound is five of those
+        phantom, sens, psi, mask, split = phased_complex_scene(seed=3)
+        n = 6_000
+        args = (phantom, sens, psi, split, mask, n)
+        got = empirical_noise_correlations(*args, np.random.default_rng(4))
+        want = channel_noise_correlations(*args, np.random.default_rng(5))
+        tol = 5 * np.sqrt(2 / (n * mask.sum()))
+        assert got == pytest.approx(want, abs=tol)
+        assert want[1] > 10 * tol
 
     def test_whitening_reduces_correlation(self):
         # strongly correlated channels: the raw input/label correlation is
@@ -395,7 +488,7 @@ class TestEmpiricalNoiseCorrelation:
         # one set of draws for both labels gives each call's figure bit for
         # bit; the realizations span three chunks
         scene = SyntheticScene(grid=16, m=5, sigma=0.3, seed=5)
-        n_real = 2 * mc_chunk(5, int(scene.mask.sum())) + 7
+        n_real = 2 * mc_chunk(int(scene.mask.sum())) + 7
         args = (scene.phantom, scene.sens, scene.psi, scene.split, scene.mask, n_real)
         both = empirical_noise_correlations(*args, np.random.default_rng(3))
         each = [

@@ -378,24 +378,39 @@ class TestCheckpoint:
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(how=st.sampled_from(["flip", "truncate"]), data=st.data())
+@given(how=st.sampled_from(["flip", "truncate", "resize"]), data=st.data())
 def test_load_checkpoint_fuzz(tmp_path, how, data):
     # a small checkpoint with bytes flipped, about half of them in the
-    # length word and JSON header, or its tail cut: it loads to finite
-    # parameters or raises TensorFormatError, never another exception
+    # length word and JSON header, its tail cut, or its header asking for a
+    # network of another depth and width: it loads to finite parameters or
+    # raises TensorFormatError, never another exception, and allocates no
+    # more than a few copies of the file plus a constant, whatever network
+    # the header asks for
     path = tmp_path / "fuzz.c2k"
     save_checkpoint(path, init_network(NetworkConfig(depth=3, features=2), np.random.default_rng(0)))
     buf = bytearray(path.read_bytes())
+    (hlen,) = struct.unpack_from("<I", buf)
     if how == "flip":
-        (hlen,) = struct.unpack_from("<I", buf)
         where = st.integers(0, 4 + hlen - 1) | st.integers(0, len(buf) - 1)
         for i in data.draw(st.lists(where, min_size=1, max_size=4)):
             buf[i] ^= data.draw(st.integers(1, 255))
-    else:
+    elif how == "truncate":
         del buf[data.draw(st.integers(0, len(buf) - 1)) :]
+    else:
+        header = json.loads(buf[4 : 4 + hlen])
+        config = header["config"]
+        config.update(depth=data.draw(st.integers(0, 30)), features=data.draw(st.integers(0, 100)))
+        head = json.dumps(header).encode()
+        buf = bytearray(struct.pack("<I", len(head)) + head + buf[4 + hlen :])
     path.write_bytes(bytes(buf))
+    tracemalloc.start()
     try:
         params = load_checkpoint(path)
     except TensorFormatError:
-        return
-    assert all(np.isfinite(arr).all() for _, arr in params.state())
+        params = None
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert peak <= 4 * len(buf) + (32 << 10)
+    if params is not None:
+        assert all(np.isfinite(arr).all() for _, arr in params.state())
