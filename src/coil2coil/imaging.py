@@ -102,15 +102,25 @@ def noise_grams(sens, psi, group_j, group_k):
     if set(gj) & set(gk):
         raise ValueError(f"groups overlap: {sorted(set(gj) & set(gk))}")
     psi = check_covariance(psi, m)
+    return group_grams(sens_group(sens, psi, gj), sens_group(sens, psi, gk))
 
-    s = sens.reshape(m, -1)
-    p_j = psi[:, gj] @ s[gj]
-    p_k = psi[:, gk] @ s[gk]
 
-    def dot(rows, p):  # sum_{a in rows} conj(s_a) p_a, per voxel
-        return np.einsum("av,av->v", s[rows].conj(), p[rows]).reshape(sens.shape[1:])
+def sens_group(sens, psi, group):
+    """(G, conj(S[G]), psi[:, G] @ S[G]) for a sorted list G of channel
+    indices: a group's sensitivities indexed and conjugated once, and its GEMM."""
+    s = sens[group]
+    return group, s.conj(), psi[:, group] @ s.reshape(len(group), -1)
 
-    return dot(gj, p_j).real, dot(gk, p_k).real, dot(gj, p_k)
+
+def group_grams(group_j, group_k):
+    """noise_grams without checks, from two sens_group tuples of a psi that
+    passed check_covariance."""
+    (gj, c_j, p_j), (gk, c_k, p_k) = group_j, group_k
+
+    def dot(c, p):  # sum over a group's rows a of conj(s_a) p_a, per voxel
+        return np.einsum("av,av->v", c.reshape(len(c), -1), p).reshape(c.shape[1:])
+
+    return dot(c_j, p_j[gj]).real, dot(c_k, p_k[gk]).real, dot(c_j, p_k[gj])
 
 
 def magnitude_noise_stats(g_jj, g_kk, g_jk):

@@ -7,14 +7,14 @@ out.  It computes in the dtype of its parameters: float32 from init_network
 and checkpoints, float64 in gradient_check's finite-difference comparison.
 
 Activations are channels-first, (C, N, H, W), so bias, batch norm and their
-gradients work on one contiguous row per channel.  Every convolution -- the
-forward pass and both gradients -- is im2col + GEMM over 256 KiB patch
-blocks of contiguous runs of the zero-padded images (_patch_blocks); train
-mode keeps each conv's input, not its patches.  Leaky ReLU and its backward
-work in place, bit-identical to their out-of-place formulas.  Eval mode
-folds batch norm into its conv's kernel and a bias.  Only the first and the
-last conv carry a bias: a bias feeding batch norm is cancelled by its mean
-subtraction, so it would be a dead parameter.
+gradients work on one contiguous row per channel.  A conv is im2col + GEMM
+over 256 KiB patch blocks of contiguous runs of its zero-padded input buffer
+(_pad, _patch_blocks).  Train mode caches those buffers; backward cuts each
+layer's output gradient into patch blocks once and takes both gradients from
+every block (_conv_grads).  Leaky ReLU and its backward work in place,
+bit-identical to their out-of-place formulas.  Eval mode folds batch norm
+into its conv's kernel and a bias.  Only the first and the last conv carry a
+bias: a bias feeding batch norm is cancelled by its mean subtraction.
 """
 
 from __future__ import annotations
@@ -109,12 +109,9 @@ class NetworkParams:
         bias = {0: self.biases[0], len(self.weights) - 1: self.biases[1]}
         out = []
         for i, w in enumerate(self.weights):
-            out.append((f"conv{i}.weight", w))
-            if i in bias:
-                out.append((f"conv{i}.bias", bias[i]))
+            out += [(f"conv{i}.weight", w)] + ([(f"conv{i}.bias", bias[i])] if i in bias else [])
         for i, (g, s) in enumerate(zip(self.bn_scale, self.bn_shift)):
-            out.append((f"bn{i}.scale", g))
-            out.append((f"bn{i}.shift", s))
+            out += [(f"bn{i}.scale", g), (f"bn{i}.shift", s)]
         return out
 
     def state(self):
@@ -136,21 +133,14 @@ class AdamState:
         return cls(m=zeros, v={k: v.copy() for k, v in zeros.items()})
 
 
-def _layer_channels(config):
-    """(C_in, C_out) per conv layer."""
-    f = config.features
-    return [(1, f)] + [(f, f)] * (config.depth - 2) + [(f, 1)]
-
-
 def init_network(config, rng):
     """Float32 Xavier-uniform kernels (bound sqrt(6/(fan_in+fan_out)), drawn
     in float64), zero biases, batch-norm scale 1 / shift 0, running stats (0, 1)."""
-    k = config.kernel_size
+    k, f, n_bn = config.kernel_size, config.features, config.depth - 2
     weights = []
-    for c_in, c_out in _layer_channels(config):
+    for c_in, c_out in [(1, f)] + [(f, f)] * n_bn + [(f, 1)]:
         bound = np.sqrt(6.0 / ((c_in + c_out) * k * k))  # fan_in + fan_out
         weights.append(rng.uniform(-bound, bound, size=(c_out, c_in, k, k)))
-    f, n_bn = config.features, config.depth - 2
     return NetworkParams(
         config=config,
         weights=weights,
@@ -168,44 +158,60 @@ def init_network(config, rng):
 _BLOCK_ELEMS = 1 << 16
 
 
-def _patch_blocks(x, k):
-    """Yield (index, patches) over blocks of rows of each image in x (C, N,
-    H, W): x[:, b, rows] is the block at index (b, rows), and patches its
-    (k*k*C, rows * Wp) im2col matrix, rows in a kernel's (C, k, k) order.
-    Each row of Wp = W + k - 1 columns ends in k - 1 junk ones.  An image's
-    blocks differ by at most one row; each fits _BLOCK_ELEMS if a row does."""
+def _pad(x, k):
+    """(buffer, view): x (C, N, H, W) zero-padded by (k-1)/2 on each side into
+    a flat (C, N*Hp*Wp + (k-1)*(Wp+1)) buffer, Hp = H+k-1 and Wp = W+k-1, whose
+    tail feeds junk columns, and the view of x inside it."""
     c, n, h, wd = x.shape
     p, hp, wp = (k - 1) // 2, h + k - 1, wd + k - 1
-    flat = np.zeros((c, n * hp * wp + (k - 1) * (wp + 1)), x.dtype)  # the tail feeds junk columns
-    flat[:, : n * hp * wp].reshape(c, n, hp, wp)[:, :, p : p + h, p : p + wd] = x
-    s = flat.strides[1]
+    flat = np.zeros((c, n * hp * wp + (k - 1) * (wp + 1)), x.dtype)
+    view = flat[:, : n * hp * wp].reshape(c, n, hp, wp)[:, :, p : p + h, p : p + wd]
+    view[...] = x
+    return flat, view
+
+
+def _patch_blocks(padded, k):
+    """Yield (index, at, patches) over blocks of rows of each image x in a _pad
+    pair: x[:, b, rows] is the block at index (b, rows), patches its (k*k*C,
+    rows*Wp) im2col matrix, rows in a kernel's (C, k, k) order, with k - 1 junk
+    columns ending each row, and at the buffer column of its first tap.  An
+    image's blocks differ by at most one row; each fits _BLOCK_ELEMS if a row does."""
+    flat, (c, n, h, wd) = padded[0], padded[1].shape
+    hp, wp, s = h + k - 1, wd + k - 1, flat.strides[1]
     win = as_strided(flat, (c, k, k, n * hp * wp), (flat.strides[0], wp * s, s, s), writeable=False)
     blocks = math.ceil(h / max(1, _BLOCK_ELEMS // (wp * k * k * c)))
     for b, r in np.ndindex(n, blocks):
         top, end = r * h // blocks, (r + 1) * h // blocks
-        yield (b, slice(top, end)), win[..., (b * hp + top) * wp : (b * hp + end) * wp].reshape(k * k * c, -1)
+        at = (b * hp + top) * wp
+        yield (b, slice(top, end)), at, win[..., at : (b * hp + end) * wp].reshape(k * k * c, -1)
 
 
-def _conv(x, w):
-    """Zero-padded 'same' correlation of channels-first x (C, N, H, W) with
-    w (F, C, k, k): one GEMM per patch block, into y (F, N, H, W)."""
+def _conv(padded, w):
+    """Zero-padded 'same' correlation of a _pad pair's images (C, N, H, W)
+    with w (F, C, k, k): one GEMM per patch block, into y (F, N, H, W)."""
     f, c, k, _ = w.shape
-    wmat, wd = w.reshape(f, -1), x.shape[3]
-    y = np.empty((f,) + x.shape[1:], x.dtype)
-    for (b, rows), patches in _patch_blocks(x, k):
+    wmat, (_, n, h, wd) = w.reshape(f, -1), padded[1].shape
+    y = np.empty((f, n, h, wd), padded[0].dtype)
+    for (b, rows), _, patches in _patch_blocks(padded, k):
         y[:, b, rows] = (wmat @ patches).reshape(f, -1, wd + k - 1)[..., :wd]
     return y
 
 
-def _weight_grad(x, dy, k):
-    """dw (F, C, k, k) of _conv(x, w) from dy: patches @ g.T, g dy with zero
-    junk columns.  Its last block and g are freed before backward's next conv."""
-    f, wd, dw = len(dy), dy.shape[3], 0
-    for (b, rows), patches in _patch_blocks(x, k):
-        g = np.zeros((f, rows.stop - rows.start, wd + k - 1), dy.dtype)
-        g[..., :wd] = dy[:, b, rows]
-        dw += patches @ g.reshape(f, -1).T
-    return dw.T.reshape(f, len(x), k, k)
+def _conv_grads(dy, x, w, input_grad):
+    """(dw, dx) of y = _conv(x, w) from one pass over dy's patch blocks: dx =
+    _conv of dy with w flipped and transposed (None unless input_grad), and
+    dw^T the sum of patches @ run^T, run the (C, rows*Wp) columns of x's buffer
+    from the block's first voxel, whose pad zeros meet the patches' junk
+    columns.  Row (f, u, v) of dw^T is dw[f, :, k-1-u, k-1-v]."""
+    f, c, k, _ = w.shape
+    wd, first = dy.shape[3], (k - 1) // 2 * (dy.shape[3] + k)  # a block's first voxel from its first tap
+    wmat = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, -1)
+    dx, dwt = np.empty((c, *dy.shape[1:]), dy.dtype) if input_grad else None, 0
+    for (b, rows), at, patches in _patch_blocks(_pad(dy, k), k):
+        dwt += patches @ x[0][:, at + first : at + first + patches.shape[1]].T
+        if input_grad:
+            dx[:, b, rows] = (wmat @ patches).reshape(c, -1, wd + k - 1)[..., :wd]
+    return dwt.reshape(f, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2), dx
 
 
 def _leaky_forward(x, slope):
@@ -273,6 +279,7 @@ def forward(params, batch, train=False):
     x = batch[None]  # (1, N, H, W)
     for i, w in enumerate(params.weights):
         j = i - 1  # batch-norm index of a middle layer
+        x, y = _pad(x, cfg.kernel_size), None  # the padded copy replaces the activation
         if train:
             cache["inputs"].append(x)
         elif 0 < i < last:  # eval batch norm is conv(x, w*g) + shift - mean*g
@@ -306,30 +313,26 @@ def backward(params, cache, output_grads):
     if not cache.get("train"):
         raise ValueError("backward needs a cache from a train-mode forward")
     cfg = params.config
-    dy = np.asarray(output_grads, dtype=params.weights[0].dtype)
-    if dy.shape != cache["input_shape"]:
+    dy = np.asarray(output_grads, dtype=params.weights[0].dtype)[None]
+    if dy.shape[1:] != cache["input_shape"]:
         raise ValueError("output gradient shape does not match cached batch")
-    dy = dy[None]
     last = len(params.weights) - 1
     grads = {f"conv{last}.bias": _channel_sum(dy)}
     for i in range(last, -1, -1):
-        if i < last:
-            dy = _leaky_backward(dy, cache["inputs"][i + 1], cfg.leaky_slope)
+        if i < last:  # the activation's output is the next conv's cached input
+            dy = _leaky_backward(dy, cache["inputs"][i + 1][1], cfg.leaky_slope)
             if i == 0:
                 grads["conv0.bias"] = _channel_sum(dy)
             else:
                 dy, grads[f"bn{i - 1}.scale"], grads[f"bn{i - 1}.shift"] = _bn_backward(dy, cache["bn"][i - 1])
-        grads[f"conv{i}.weight"] = _weight_grad(cache["inputs"][i], dy, cfg.kernel_size)
-        if i > 0:  # input gradient: correlation with the flipped, transposed kernel
-            dy = _conv(dy, params.weights[i].transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        grads[f"conv{i}.weight"], dy = _conv_grads(dy, cache["inputs"][i], params.weights[i], i > 0)
     return grads
 
 
 def adam_step(params, grads, state, lr):
     """Bias-corrected Adam update, in place on params; returns (params, state)."""
     state.step += 1
-    t = state.step
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    t, b1, b2 = state.step, ADAM_BETA1, ADAM_BETA2
     for name, arr in params.flat():
         g = grads[name]
         if g.shape != arr.shape:
@@ -364,8 +367,11 @@ def gradient_check(rng):
     batch, target = rng.standard_normal((2, *GRADCHECK_BATCH))
     weight = rng.uniform(0.5, 1.5, size=GRADCHECK_BATCH)
 
-    def loss_of(p):  # on a copy: train mode updates the running statistics
-        out, _ = forward(p.astype(np.float64), batch, train=True)
+    def loss_at(arr, idx, step):  # on a copy: train mode updates the running statistics
+        orig = arr[idx]
+        arr[idx] = orig + step
+        out, _ = forward(params.astype(np.float64), batch, train=True)
+        arr[idx] = orig
         return 0.5 * np.sum(weight * (out - target) ** 2)
 
     out, cache = forward(params.astype(np.float64), batch, train=True)
@@ -375,13 +381,6 @@ def gradient_check(rng):
     for name, arr in params.flat():
         g = grads[name]
         for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + GRADCHECK_STEP
-            lp = loss_of(params)
-            arr[idx] = orig - GRADCHECK_STEP
-            lm = loss_of(params)
-            arr[idx] = orig
-            num = (lp - lm) / (2 * GRADCHECK_STEP)
-            denom = max(abs(num), abs(g[idx]), 1e-8)
-            worst = max(worst, abs(num - g[idx]) / denom)
+            num = (loss_at(arr, idx, GRADCHECK_STEP) - loss_at(arr, idx, -GRADCHECK_STEP)) / (2 * GRADCHECK_STEP)
+            worst = max(worst, abs(num - g[idx]) / max(abs(num), abs(g[idx]), 1e-8))
     return worst

@@ -22,13 +22,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .imaging import (
+    check_covariance,
     check_mask,
     check_stack,
-    coil_combine,
     effective_sensitivity,
+    group_grams,
     magnitude_noise_stats,
     noise_grams,
-    propagate_noise_stats,
+    sens_group,
 )
 
 __all__ = [
@@ -37,6 +38,7 @@ __all__ = [
     "split_channels",
     "whitening_coefficients",
     "make_training_pair",
+    "check_slice",
     "combine_all",
     "empirical_noise_correlation",
     "empirical_noise_correlations",
@@ -125,24 +127,38 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
     alpha*S_j + beta*S_k.  With whiten on, (alpha, beta) are the GLS
     coefficients of the analytically propagated noise statistics; with
     whiten off they are (0, 1), so label and map are the raw second-group
-    combination and S_k bit for bit (ablation).
+    combination and S_k bit for bit (ablation).  The arrays go through
+    check_slice first, so a bad psi is refused either way.
     """
-    gj, gk = split.group_j, split.group_k
-    img_in = np.abs(coil_combine(stack, sens, gj))  # validates stack and sens
-    if len(gj) + len(gk) != len(stack):
+    stack, sens, psi, mask = check_slice(stack, sens, psi, mask)
+    if len(split.group_j) + len(split.group_k) != len(stack):
         raise ValueError("split does not match channel count")
-    mask = check_mask(mask, img_in.shape)
-    img_lab = np.abs(coil_combine(stack, sens, gk))
-    s_j = effective_sensitivity(sens, gj)
-    s_k = effective_sensitivity(sens, gk)
+    return pair_from_checked(stack, sens, psi, split, mask, whiten)
+
+
+def check_slice(stack, sens, psi, mask):
+    """One acquisition's (stack, sens, psi, mask) as pair_from_checked takes
+    them: a (m, H, W) stack and matching sensitivities, psi a Hermitian PSD
+    (m, m) matrix as complex128, and a non-empty boolean (H, W) mask."""
+    stack = check_stack(stack, sens)
+    return stack, np.asarray(sens), check_covariance(psi, len(stack)), check_mask(mask, stack.shape[1:])
+
+
+def pair_from_checked(stack, sens, psi, split, mask, whiten):
+    """make_training_pair on arrays that passed check_slice, with a split of
+    all m channels, checking nothing.  Each group's sensitivities are indexed
+    and conjugated once, for its combination, its gain and the noise Grams."""
+    groups = [sens_group(sens, psi, sorted(g)) for g in (split.group_j, split.group_k)]
+    img_in, img_lab = (np.abs(np.einsum("chw,chw->hw", c, stack[g])) for g, c, _ in groups)
+    s_j, s_k = (np.sum(np.abs(c) ** 2, axis=0) for _, c, _ in groups)
     if whiten:
-        alpha, beta, n_fallback = whitening_coefficients(*propagate_noise_stats(sens, psi, gj, gk))
+        alpha, beta, n_fallback = whitening_coefficients(*magnitude_noise_stats(*group_grams(*groups)))
     else:
         alpha, beta, n_fallback = 0.0, 1.0, 0
     label = alpha * img_in + beta * img_lab
     s_label = alpha * s_j + beta * s_k
     if np.any(s_label[mask] <= 0):
-        warnings.warn("degenerate pair: label sensitivity <= 0 inside mask", stacklevel=2)
+        warnings.warn("degenerate pair: label sensitivity <= 0 inside mask", stacklevel=3)
 
     return TrainingPair(
         image_in=img_in, image_label=label, sens_in=s_j, sens_label=s_label, mask=mask,

@@ -22,7 +22,8 @@ import numpy as np
 from . import network as net
 from .imaging import check_mask, coil_combine, effective_sensitivity
 from .metrics import psnr
-from .pairs import SENS_FLOOR, TrainingPair, combine_all, make_training_pair, split_channels
+from .pairs import SENS_FLOOR, TrainingPair, check_slice, combine_all, pair_from_checked, split_channels
+from .pairs import make_training_pair  # noqa: F401  unused here; perfbench's tests wrap this binding
 from .simulate import make_mask
 
 __all__ = [
@@ -112,7 +113,8 @@ def _input_scale(image, mask=None):
 
 
 def _epoch_pairs(slices, config, rng):
-    """One epoch's pairs as one TrainingPair, and the C2C splits drawn.
+    """One epoch's pairs as one TrainingPair, and the C2C splits drawn, from
+    slices whose stack, sensitivities, psi and mask passed check_slice.
 
     Every field is stacked: the arrays to (N, H, W), the coverages and
     fallback counts to (N,).  N2N pairs the input with the combination of
@@ -129,7 +131,7 @@ def _epoch_pairs(slices, config, rng):
         if config.mode == "C2C":
             split = split_channels(data.stack.shape[0], rng)
             splits.append(split)
-            p = make_training_pair(data.stack, data.sens, data.psi, split, data.mask, whiten=config.whiten)
+            p = pair_from_checked(data.stack, data.sens, data.psi, split, data.mask, config.whiten)
             if not config.normalize:
                 p = replace(p, sens_in=ones, sens_label=ones)
         else:
@@ -156,6 +158,10 @@ def train(slices, net_config, config, val_slices=None):
     """
     if not slices:
         raise ValueError("empty training dataset")
+    checked = []
+    for data in slices:  # once here, so the per-epoch pairs check nothing
+        stack, sens, psi, mask = check_slice(data.stack, data.sens, data.psi, data.mask)
+        checked.append(replace(data, stack=stack, sens=sens, psi=psi, mask=mask))
     rng = np.random.default_rng(config.seed)
     params = net.init_network(net_config, rng)
     state = net.AdamState.for_params(params)
@@ -166,7 +172,7 @@ def train(slices, net_config, config, val_slices=None):
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         lr = net.lr_schedule(epoch, config.base_lr)
-        pairs, splits = _epoch_pairs(slices, config, rng)
+        pairs, splits = _epoch_pairs(checked, config, rng)
         splits_seen.extend(splits)
         order = rng.permutation(n)
         epoch_losses = []

@@ -4,7 +4,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from coil2coil.config import DEFAULTS, ConfigError, load_config, parse_config
@@ -154,7 +154,9 @@ _LINES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+# no shrink or explain phase: they replay near the memory bound's edge, where
+# unrelated allocations decide it, and turn a real failure into FlakyFailure
+@settings(max_examples=300, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(text=st.lists(_LINES, max_size=12).map("\n".join))
 def test_parse_config_fuzz(text):
     # section headers, known keys with drawn values (alone or under their

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate
 
 from coil2coil import network
@@ -13,8 +14,10 @@ from coil2coil.network import (
     _bn_backward,
     _bn_forward_train,
     _conv,
+    _conv_grads,
     _leaky_backward,
     _leaky_forward,
+    _pad,
     _patch_blocks,
     adam_step,
     backward,
@@ -104,7 +107,7 @@ class TestConv:
         w = rng.standard_normal((f, c, k, k))
         if rows is not None:  # a patch row spans the padded width 9 + k - 1
             monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * (9 + k - 1) * k * k * c)
-        y = _conv(x, w)
+        y = _conv(_pad(x, k), w)
         ref = np.zeros((f, n, 7, 9))
         for b in range(n):
             for fi in range(f):
@@ -130,7 +133,8 @@ def test_patch_blocks_partition_the_rows(n, h, w, c, k, block_elems):
     heights = {b: [] for b in range(n)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_BLOCK_ELEMS", block_elems)
-        for (b, rows), patches in _patch_blocks(np.zeros((c, n, h, w)), k):
+        for (b, rows), at, patches in _patch_blocks(_pad(np.zeros((c, n, h, w)), k), k):
+            assert at == (b * (h + k - 1) + rows.start) * wp  # the buffer column of the block's first tap
             seen[b, rows] += 1
             heights[b].append(rows.stop - rows.start)
             assert patches.shape == (k * k * c, heights[b][-1] * wp)
@@ -141,7 +145,65 @@ def test_patch_blocks_partition_the_rows(n, h, w, c, k, block_elems):
         assert len(hs) == -(-h // max(1, block_elems // row))  # the fewest that fit
 
 
+def _windows(padded, k):
+    """(C, N, H, W, k, k) sliding k x k windows of zero-padded (C, N, Hp, Wp) images."""
+    return sliding_window_view(padded, (k, k), axis=(2, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    c=st.integers(1, 4),
+    f=st.integers(1, 4),
+    k=st.sampled_from([1, 3, 5]),
+    rows=st.integers(1, 9),
+    input_grad=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_conv_grads_match_an_einsum_oracle(n, h, w, c, f, k, rows, input_grad, seed):
+    # both gradients of y = _conv(x, w) from dy's patch blocks, in blocks of
+    # at most `rows` image rows (uneven when rows does not divide h); without
+    # input_grad, as for the first layer, there is no dx
+    assume(c != f and h != w)
+    rng = np.random.default_rng(seed)
+    x, dy = rng.standard_normal((c, n, h, w)), rng.standard_normal((f, n, h, w))
+    kernel = rng.standard_normal((f, c, k, k))
+    p = (k - 1) // 2
+    pad = ((0, 0), (0, 0), (p, p), (p, p))
+    with pytest.MonkeyPatch.context() as mp:  # a patch row of dy spans w + k - 1 columns
+        mp.setattr(network, "_BLOCK_ELEMS", rows * (w + k - 1) * k * k * f)
+        dw, dx = _conv_grads(dy, _pad(x, k), kernel, input_grad)
+    want_dw = np.einsum("fbij,cbijuv->fcuv", dy, _windows(np.pad(x, pad), k))
+    assert dw.shape == kernel.shape
+    assert np.allclose(dw, want_dw, rtol=1e-12, atol=1e-12)
+    if not input_grad:
+        assert dx is None
+        return
+    # dx[c, b, i, j] = sum over f, u, v of dy[f, b, i - u + p, j - v + p] * w[f, c, u, v]
+    want_dx = np.einsum("fbijuv,fcuv->cbij", _windows(np.pad(dy, pad), k)[..., ::-1, ::-1], kernel)
+    assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+
+
 class TestForward:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_cached_buffers_are_zero_outside_the_images(self, k):
+        # backward reads whole runs of each cached buffer, pad and tail
+        # included, so they must hold exact zeros there
+        params = init_network(NetworkConfig(depth=4, features=3, kernel_size=k), np.random.default_rng(32))
+        x = np.random.default_rng(33).standard_normal((2, 7, 5))
+        _, cache = forward(params, x, train=True)
+        assert len(cache["inputs"]) == len(params.weights)
+        for flat, view in cache["inputs"]:
+            assert view.shape[1:] == x.shape and np.shares_memory(flat, view)
+            outside = flat.copy()
+            outside[:, : view.shape[1] * (7 + k - 1) * (5 + k - 1)].reshape(-1, 2, 7 + k - 1, 5 + k - 1)[
+                :, :, (k - 1) // 2 : (k - 1) // 2 + 7, (k - 1) // 2 : (k - 1) // 2 + 5
+            ] = 0
+            assert not outside.any()
+            assert np.count_nonzero(view) == view.size  # random activations: no exact zeros inside
+
     def test_zero_final_conv_is_identity(self):
         # skip connection passes the input through exactly (float64 parameters,
         # so the float64 input is not rounded)
@@ -232,7 +294,7 @@ class TestForward:
         x = rng.standard_normal((2, 10, 9))
         h = x[None]
         for i, w in enumerate(params.weights[:-1]):
-            y = _conv(h, w)
+            y = _conv(_pad(h, 3), w)
             if i == 0:
                 y = y + params.biases[0][:, None, None, None]
             else:
@@ -241,7 +303,7 @@ class TestForward:
                 y = (y - mean) / np.sqrt(var + cfg.bn_eps)
                 y = y * params.bn_scale[j][:, None, None, None] + params.bn_shift[j][:, None, None, None]
             h = np.where(y >= 0, y, cfg.leaky_slope * y)
-        want = _conv(h, params.weights[-1])[0] + params.biases[1] + x
+        want = _conv(_pad(h, 3), params.weights[-1])[0] + params.biases[1] + x
         out, _ = forward(params, x, train=False)
         assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
 
@@ -283,7 +345,7 @@ class TestDtype:
         grads = backward(params, cache, rng.standard_normal(out.shape))
         adam_step(params, grads, state, lr=1e-3)
         arrays = {"output": out, "eval output": forward(params, x, train=False)[0]}
-        arrays |= {f"input {i}": a for i, a in enumerate(cache["inputs"])}
+        arrays |= {f"input {i}": a for i, (a, _) in enumerate(cache["inputs"])}
         arrays |= {f"bn cache {i}.{k}": a for i, c in enumerate(cache["bn"]) for k, a in enumerate(c)}
         arrays |= {f"grad {k}": a for k, a in grads.items()}
         arrays |= {f"adam m {k}": a for k, a in state.m.items()}

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from coil2coil.network import NetworkConfig, forward, init_network
@@ -172,7 +172,17 @@ def fuzzed_records(draw):
     return planted(record, draw(st.sampled_from([np.nan, np.inf, -np.inf])), slot)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# no shrink or explain phase: they replay near the memory bound's edge, where
+# unrelated allocations decide it, and turn a real failure into FlakyFailure
+fuzz_settings = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+
+
+@fuzz_settings
 @given(data=fuzzed_records())
 def test_read_tensor_fuzz(tmp_path, data):
     # whatever read_tensor accepts is finite and writes back to the same
@@ -377,7 +387,7 @@ class TestCheckpoint:
         assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@fuzz_settings
 @given(how=st.sampled_from(["flip", "truncate", "resize"]), data=st.data())
 def test_load_checkpoint_fuzz(tmp_path, how, data):
     # a small checkpoint with bytes flipped, about half of them in the

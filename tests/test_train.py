@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coil2coil import imaging
+from coil2coil import pairs as pairs_mod
 from coil2coil.datasets import SliceData
 from coil2coil.imaging import coil_combine, effective_sensitivity
 from coil2coil.network import NetworkConfig, init_network
@@ -229,6 +231,25 @@ class TestEpochPairs:
             assert getattr(stacked, name).shape == (3,)
             assert getattr(stacked, name).tolist() == [getattr(p, name) for p in own]
         assert stacked[[2, 0]].coverage_j.tolist() == [own[2].coverage_j, own[0].coverage_j]
+
+    def test_covariance_checked_once_per_slice(self, monkeypatch):
+        # train validates each slice's psi before the first epoch; the
+        # per-epoch pairs of three epochs check none
+        checked = []
+
+        def counting(check):
+            return lambda psi, m: checked.append(m) or check(psi, m)
+
+        for module in (imaging, pairs_mod):
+            monkeypatch.setattr(module, "check_covariance", counting(module.check_covariance))
+        train(tiny_slices(n=3), NetworkConfig(depth=3, features=2), TrainConfig(epochs=3, batch_size=2))
+        assert checked == [4, 4, 4]
+
+    def test_bad_covariance_refused_before_training(self):
+        slices = tiny_slices(n=2)
+        slices[1].psi = slices[1].psi - 2 * np.eye(4) * np.abs(slices[1].psi).max()  # not PSD
+        with pytest.raises(ValueError, match="PSD"):
+            train(slices, NetworkConfig(depth=3, features=2), TrainConfig(epochs=1))
 
     def test_unit_maps_unless_normalized_c2c(self):
         slices = tiny_slices(n=2, with_second=True)
