@@ -7,14 +7,19 @@ out.  It computes in the dtype of its parameters: float32 from init_network
 and checkpoints, float64 in gradient_check's finite-difference comparison.
 
 Activations are channels-first, (C, N, H, W), so bias, batch norm and their
-gradients work on one contiguous row per channel.  A conv is im2col + GEMM
-over 256 KiB patch blocks of contiguous runs of its zero-padded input buffer
-(_pad, _patch_blocks).  Train mode caches those buffers; backward cuts each
-layer's output gradient into patch blocks once and takes both gradients from
-every block (_conv_grads).  Leaky ReLU and its backward work in place,
-bit-identical to their out-of-place formulas.  Eval mode folds batch norm
-into its conv's kernel and a bias.  Only the first and the last conv carry a
-bias: a bias feeding batch norm is cancelled by its mean subtraction.
+gradients work on one contiguous row per channel.  A conv reads and writes
+zero-padded flat buffers (_buffer): im2col + GEMM over 256 KiB patch blocks of
+contiguous runs of the input (_patch_blocks), each GEMM storing into the output
+buffer, whose pads take its junk columns and are zeroed once per layer.  With
+fewer output than input channels (the last conv) the k*k taps' GEMMs over
+shifted runs of the input are summed instead.  Bias and leaky ReLU run on whole
+buffer rows, and eval mode reuses two buffers across the layers.  Train mode
+caches each conv's input buffer; backward cuts each layer's output gradient
+into patch blocks once and takes both gradients from every block
+(_conv_grads).  Leaky ReLU and its backward work in place, bit-identical to
+their out-of-place formulas.  Eval mode folds batch norm into its conv's kernel
+and a bias.  Only the first and the last conv carry a bias: a bias feeding
+batch norm is cancelled by its mean subtraction.
 """
 
 from __future__ import annotations
@@ -158,24 +163,39 @@ def init_network(config, rng):
 _BLOCK_ELEMS = 1 << 16
 
 
-def _pad(x, k):
-    """(buffer, view): x (C, N, H, W) zero-padded by (k-1)/2 on each side into
-    a flat (C, N*Hp*Wp + (k-1)*(Wp+1)) buffer, Hp = H+k-1 and Wp = W+k-1, whose
-    tail feeds junk columns, and the view of x inside it."""
-    c, n, h, wd = x.shape
+def _buffer(c, shape, k, dtype):
+    """(buffer, view): a zero flat (C, N*Hp*Wp + (k-1)*(Wp+1)) buffer for C
+    channels of (N, H, W) images padded by (k-1)/2 on each side, Hp = H+k-1
+    and Wp = W+k-1, whose tail feeds junk columns, and the images' view in it."""
+    n, h, wd = shape
     p, hp, wp = (k - 1) // 2, h + k - 1, wd + k - 1
-    flat = np.zeros((c, n * hp * wp + (k - 1) * (wp + 1)), x.dtype)
-    view = flat[:, : n * hp * wp].reshape(c, n, hp, wp)[:, :, p : p + h, p : p + wd]
-    view[...] = x
-    return flat, view
+    flat = np.zeros((c, n * hp * wp + (k - 1) * (wp + 1)), dtype)
+    return flat, flat[:, : n * hp * wp].reshape(c, n, hp, wp)[:, :, p : p + h, p : p + wd]
+
+
+def _pad(x, k):
+    """x (C, N, H, W) copied into a fresh _buffer pair."""
+    padded = _buffer(len(x), x.shape[1:], k, x.dtype)
+    padded[1][...] = x
+    return padded
+
+
+def _zero_pads(padded, k):
+    """Zero a _buffer pair outside its images: the pads, which took a conv's
+    junk columns or a row-wise bias, and the tail."""
+    flat, (c, n, h, wd), p = padded[0], padded[1].shape, (k - 1) // 2
+    end = n * (h + k - 1) * (wd + k - 1)
+    whole = flat[:, :end].reshape(c, n, h + k - 1, wd + k - 1)
+    whole[:, :, :p] = whole[:, :, p + h :] = whole[..., :p] = whole[..., p + wd :] = flat[:, end:] = 0
+    return padded
 
 
 def _patch_blocks(padded, k):
-    """Yield (index, at, patches) over blocks of rows of each image x in a _pad
-    pair: x[:, b, rows] is the block at index (b, rows), patches its (k*k*C,
-    rows*Wp) im2col matrix, rows in a kernel's (C, k, k) order, with k - 1 junk
-    columns ending each row, and at the buffer column of its first tap.  An
-    image's blocks differ by at most one row; each fits _BLOCK_ELEMS if a row does."""
+    """Yield (index, at, patches) over blocks of rows of each image x in a
+    _buffer pair: x[:, b, rows] is the block at index (b, rows), patches its
+    (k*k*C, rows*Wp) im2col matrix in a kernel's (C, k, k) row order, k - 1 junk
+    columns ending each row, and at the buffer column of its first tap.  Blocks
+    of an image differ by at most one row; each fits _BLOCK_ELEMS if a row does."""
     flat, (c, n, h, wd) = padded[0], padded[1].shape
     hp, wp, s = h + k - 1, wd + k - 1, flat.strides[1]
     win = as_strided(flat, (c, k, k, n * hp * wp), (flat.strides[0], wp * s, s, s), writeable=False)
@@ -186,15 +206,29 @@ def _patch_blocks(padded, k):
         yield (b, slice(top, end)), at, win[..., at : (b * hp + end) * wp].reshape(k * k * c, -1)
 
 
-def _conv(padded, w):
-    """Zero-padded 'same' correlation of a _pad pair's images (C, N, H, W)
-    with w (F, C, k, k): one GEMM per patch block, into y (F, N, H, W)."""
+def _conv(padded, w, out=None):
+    """Zero-padded 'same' correlation of a _buffer pair's images (C, N, H, W)
+    with w (F, C, k, k) into out, a pair of that layout with F channels (fresh
+    when None) whose pads take the junk columns.  With F < C it sums the k*k
+    taps' (F, C) GEMMs over shifted runs of the input, in blocks of _BLOCK_ELEMS
+    entries whose bits do not depend on the BLAS thread count; else a GEMM per
+    patch block."""
     f, c, k, _ = w.shape
-    wmat, (_, n, h, wd) = w.reshape(f, -1), padded[1].shape
-    y = np.empty((f, n, h, wd), padded[0].dtype)
-    for (b, rows), _, patches in _patch_blocks(padded, k):
-        y[:, b, rows] = (wmat @ patches).reshape(f, -1, wd + k - 1)[..., :wd]
-    return y
+    flat, (_, n, h, wd) = padded[0], padded[1].shape
+    out = _buffer(f, (n, h, wd), k, flat.dtype) if out is None else out
+    wp, first = wd + k - 1, (k - 1) // 2 * (wd + k)  # a voxel's column from its window's first tap
+    if f < c:  # F rows per tap instead of a k*k*C-row im2col
+        taps, size, step = w.transpose(2, 3, 0, 1).copy(), n * (h + k - 1) * wp, max(1, _BLOCK_ELEMS // c)
+        for at in range(0, size, step):
+            run = out[0][:, first + at : first + min(at + step, size)]
+            np.matmul(taps[0, 0], flat[:, at : at + run.shape[1]], out=run)
+            for u, v in list(np.ndindex(k, k))[1:]:
+                run += taps[u, v] @ flat[:, at + u * wp + v : at + u * wp + v + run.shape[1]]
+        return out
+    wmat = w.reshape(f, -1)
+    for _, at, patches in _patch_blocks(padded, k):
+        np.matmul(wmat, patches, out=out[0][:, at + first : at + first + patches.shape[1]])
+    return out
 
 
 def _conv_grads(dy, x, w, input_grad):
@@ -273,33 +307,31 @@ def forward(params, batch, train=False):
         batch = batch[None]
     if batch.ndim != 3 or batch.shape[0] < 1:
         raise ValueError(f"batch must be (N, H, W), got {batch.shape}")
-    cfg = params.config
+    cfg, k = params.config, params.config.kernel_size
     cache = {"input_shape": batch.shape, "train": train, "inputs": [], "bn": []}
     last, mom = len(params.weights) - 1, cfg.bn_momentum
-    x = batch[None]  # (1, N, H, W)
+    x, spare = _pad(batch[None], k), None  # spare: a buffer no later layer reads
     for i, w in enumerate(params.weights):
         j = i - 1  # batch-norm index of a middle layer
-        x, y = _pad(x, cfg.kernel_size), None  # the padded copy replaces the activation
         if train:
             cache["inputs"].append(x)
         elif 0 < i < last:  # eval batch norm is conv(x, w*g) + shift - mean*g
             g = params.bn_scale[j] / np.sqrt(params.bn_var[j] + cfg.bn_eps)
             w, folded = w * g[:, None, None, None], params.bn_shift[j] - params.bn_mean[j] * g
-        y = _conv(x, w)
+        y = _conv(x, w, spare if spare is not None and len(spare[0]) == len(w) else None)
         if i == last:
             break
-        if i == 0:
-            y += params.biases[0][:, None, None, None]
-        elif train:
-            y, bn_cache, mean, var = _bn_forward_train(y, params.bn_scale[j], params.bn_shift[j], cfg.bn_eps)
+        if train and i > 0:  # batch norm on a contiguous copy; y is scratch for the next conv
+            h, bn_cache, mean, var = _bn_forward_train(y[1].copy(), params.bn_scale[j], params.bn_shift[j], cfg.bn_eps)
             cache["bn"].append(bn_cache)
             params.bn_mean[j] = mom * params.bn_mean[j] + (1 - mom) * mean
             params.bn_var[j] = mom * params.bn_var[j] + (1 - mom) * var
-        else:
-            y += folded[:, None, None, None]
-        x = _leaky_forward(y, cfg.leaky_slope)
-    out = y[0]
-    out += params.biases[1]
+            x, spare = _pad(_leaky_forward(h, cfg.leaky_slope), k), y
+            continue
+        bias = (params.biases[0] if i == 0 else folded)[:, None]  # on whole rows, pads included
+        _leaky_forward(np.add(y[0], bias, out=y[0]), cfg.leaky_slope)
+        x, spare = _zero_pads(y, k), (None if train else x)
+    out = y[1][0] + params.biases[1]
     out += batch
     return out, cache
 

@@ -25,12 +25,15 @@ the file; a checkpoint is malformed too when its config fails NetworkConfig's
 checks or a batch-norm running variance is negative.  A float32/complex64
 payload holding NaN or +-inf raises it too, on write as on read: every array
 these files hand the program is finite, and nothing downstream rescans.
+Files are read as a stream: a record's payload is read once, straight into
+the returned array, after its claimed size is checked against the file's.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -92,51 +95,51 @@ def write_tensor(path, arr):
         f.write(tensor_bytes(arr))
 
 
-def _read_record(buf, offset=0):
-    """Parse one record; returns (array, next_offset)."""
-    if len(buf) - offset < 8:
-        raise TensorFormatError("truncated header")
-    if buf[offset : offset + 4] != MAGIC:
-        raise TensorFormatError(f"bad magic {buf[offset:offset + 4]!r}")
-    version, code, rank = struct.unpack_from("<HBB", buf, offset + 4)
+def _need(f, n, what):
+    """n, once the open file f is known to hold n more bytes: a truncated
+    `what` otherwise, refused before anything of that size is allocated."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < n:
+        raise TensorFormatError(f"truncated {what}: need {n} bytes, have {left}")
+    return n
+
+
+def _read_record(f):
+    """The record at f's position, read into an array allocated only once the
+    file is known to hold its payload."""
+    head = f.read(_need(f, 8, "header"))
+    if head[:4] != MAGIC:
+        raise TensorFormatError(f"bad magic {head[:4]!r}")
+    version, code, rank = struct.unpack_from("<HBB", head, 4)
     if version != VERSION:
         raise TensorFormatError(f"unsupported version {version}")
     if code not in _CODES:
         raise TensorFormatError(f"unknown element code {code}")
     if rank > MAX_RANK:
         raise TensorFormatError(f"rank {rank} exceeds limit {MAX_RANK}")
-    pos = offset + 8
-    if len(buf) - pos < 4 * rank:
-        raise TensorFormatError("truncated dims")
-    dims = struct.unpack_from(f"<{rank}I", buf, pos)
-    pos += 4 * rank
+    dims = struct.unpack(f"<{rank}I", f.read(_need(f, 4 * rank, "dims")))
     n = 1
     for d in dims:
         n *= d
         if n >= MAX_ELEMENTS:
             raise TensorFormatError("dims overflow")
     dtype = np.dtype(_CODES[code]).newbyteorder("<")
-    nbytes = n * dtype.itemsize
-    if len(buf) - pos < nbytes:
-        raise TensorFormatError(
-            f"truncated payload: need {nbytes} bytes, have {len(buf) - pos}"
-        )
-    _check_finite(code, memoryview(buf)[pos : pos + nbytes])
-    arr = np.frombuffer(buf, dtype=dtype, count=n, offset=pos).reshape(dims)
-    return arr.astype(_CODES[code]), pos + nbytes
+    _need(f, n * dtype.itemsize, "payload")
+    arr = np.empty(dims, dtype)
+    if f.readinto(arr.reshape(-1).view(np.uint8)) < arr.nbytes:  # the file shrank since
+        raise TensorFormatError("truncated payload")
+    return _check_finite(code, arr)
 
 
 def _read_file(path, parse):
-    """Parse the bytes of path with parse(buf) -> (value, end); the file must
-    end at end.  A TensorFormatError names the file."""
+    """parse(f) of the file at path, which must end there; errors name the file."""
     with open(path, "rb") as f:
-        buf = f.read()
-    try:
-        value, end = parse(buf)
-        if end != len(buf):
-            raise TensorFormatError(f"{len(buf) - end} trailing bytes")
-    except TensorFormatError as exc:
-        raise TensorFormatError(f"{path}: {exc}") from None
+        try:
+            value = parse(f)
+            if extra := os.fstat(f.fileno()).st_size - f.tell():
+                raise TensorFormatError(f"{extra} trailing bytes")
+        except TensorFormatError as exc:
+            raise TensorFormatError(f"{path}: {exc}") from None
     return value
 
 
@@ -188,24 +191,18 @@ def load_checkpoint(path):
     return _read_file(path, _checkpoint)
 
 
-def _checkpoint(buf):
-    """(params, end) of the checkpoint in buf."""
-    if len(buf) < 4:
-        raise TensorFormatError("truncated checkpoint")
-    (hlen,) = struct.unpack_from("<I", buf, 0)
-    if len(buf) < 4 + hlen:
-        raise TensorFormatError("truncated checkpoint header")
+def _checkpoint(f):
+    """The parameters of the checkpoint at f's position."""
+    (hlen,) = struct.unpack("<I", f.read(_need(f, 4, "checkpoint")))
+    head = f.read(_need(f, hlen, "checkpoint header"))
     try:
-        header = json.loads(buf[4 : 4 + hlen].decode())
+        header = json.loads(head.decode())
         config = NetworkConfig(**header["config"])
         names = [str(name) for name in header["tensors"]]
     # OverflowError: an int past float range; RecursionError: JSON nested too deep
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise TensorFormatError(f"bad checkpoint header: {exc!r}") from None
-    arrays = {}
-    pos = 4 + hlen
-    for name in names:
-        arrays[name], pos = _read_record(buf, pos)
+    arrays = {name: _read_record(f) for name in names}
     held = sum(arr.size for arr in arrays.values())
     if config.state_size() > held:  # before init_network allocates the network
         raise TensorFormatError(
@@ -222,4 +219,4 @@ def _checkpoint(buf):
     for i, mean in enumerate(params.bn_mean):
         if f"conv{i + 1}.bias" in arrays:
             mean -= _stored(arrays, f"conv{i + 1}.bias", mean.shape)
-    return params, pos
+    return params

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import correlate
@@ -107,7 +107,7 @@ class TestConv:
         w = rng.standard_normal((f, c, k, k))
         if rows is not None:  # a patch row spans the padded width 9 + k - 1
             monkeypatch.setattr(network, "_BLOCK_ELEMS", rows * (9 + k - 1) * k * k * c)
-        y = _conv(_pad(x, k), w)
+        y = _conv(_pad(x, k), w)[1]
         ref = np.zeros((f, n, 7, 9))
         for b in range(n):
             for fi in range(f):
@@ -184,6 +184,53 @@ def test_conv_grads_match_an_einsum_oracle(n, h, w, c, f, k, rows, input_grad, s
     # dx[c, b, i, j] = sum over f, u, v of dy[f, b, i - u + p, j - v + p] * w[f, c, u, v]
     want_dx = np.einsum("fbijuv,fcuv->cbij", _windows(np.pad(dy, pad), k)[..., ::-1, ::-1], kernel)
     assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    h=st.integers(1, 9),
+    w=st.integers(1, 9),
+    c=st.integers(2, 5),
+    f=st.integers(1, 4),
+    k=st.sampled_from([1, 3, 5]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, h=1, w=7, c=16, f=1, k=3, dtype=np.float64, seed=0)
+@example(n=3, h=6, w=1, c=3, f=2, k=5, dtype=np.float32, seed=1)
+def test_fewer_outputs_than_inputs_match_im2col(n, h, w, c, f, k, dtype, seed):
+    # with F < C the conv sums the taps' GEMMs over shifted runs of the
+    # input buffer; padding the kernel with zero filters to C outputs takes
+    # it through the im2col GEMMs instead, whose first F outputs must agree
+    assume(f < c)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((c, n, h, w)).astype(dtype)
+    kernel = rng.standard_normal((f, c, k, k)).astype(dtype)
+    got = _conv(_pad(x, k), kernel)[1]
+    want = _conv(_pad(x, k), np.concatenate([kernel, np.zeros((c - f, c, k, k), dtype)]))[1][:f]
+    assert got.dtype == dtype and got.shape == (f, n, h, w)
+    if dtype == np.float64:
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    else:
+        assert np.linalg.norm(got - want) <= FLOAT32_RTOL * np.linalg.norm(want)
+
+
+def _four_pass_eval(params, x):
+    """Eval forward as conv, then bias or normalize-scale-shift, then leaky
+    ReLU, each conv on a fresh zero-padded copy of its input: the reference."""
+    cfg, k, h = params.config, params.config.kernel_size, x[None]
+    for i, w in enumerate(params.weights[:-1]):
+        y = _conv(_pad(h, k), w)[1]
+        if i == 0:
+            y = y + params.biases[0][:, None, None, None]
+        else:
+            j = i - 1
+            mean, var = params.bn_mean[j][:, None, None, None], params.bn_var[j][:, None, None, None]
+            y = (y - mean) / np.sqrt(var + cfg.bn_eps)
+            y = y * params.bn_scale[j][:, None, None, None] + params.bn_shift[j][:, None, None, None]
+        h = np.where(y >= 0, y, cfg.leaky_slope * y)
+    return _conv(_pad(h, k), params.weights[-1])[1][0] + params.biases[1] + x
 
 
 class TestForward:
@@ -292,34 +339,28 @@ class TestForward:
             params.bn_mean[j] = rng.standard_normal(3)
             params.bn_var[j] = rng.uniform(0.2, 2.0, 3)
         x = rng.standard_normal((2, 10, 9))
-        h = x[None]
-        for i, w in enumerate(params.weights[:-1]):
-            y = _conv(_pad(h, 3), w)
-            if i == 0:
-                y = y + params.biases[0][:, None, None, None]
-            else:
-                j = i - 1
-                mean, var = params.bn_mean[j][:, None, None, None], params.bn_var[j][:, None, None, None]
-                y = (y - mean) / np.sqrt(var + cfg.bn_eps)
-                y = y * params.bn_scale[j][:, None, None, None] + params.bn_shift[j][:, None, None, None]
-            h = np.where(y >= 0, y, cfg.leaky_slope * y)
-        want = _conv(_pad(h, 3), params.weights[-1])[0] + params.biases[1] + x
         out, _ = forward(params, x, train=False)
-        assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
+        assert np.allclose(out, _four_pass_eval(params, x), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("shape", [(3, 1, 6), (3, 6, 1), (2, 1, 1), (3, 5, 9), (2, 11, 4)])
     def test_a_batch_equals_its_images(self, shape, k):
         # the images of a batch share one flat zero-padded buffer: each
         # image's eval output is bit for bit its output alone, so no patch
-        # reads across an image's border or past the buffer's tail
-        params = init_network(NetworkConfig(depth=4, features=3, kernel_size=k), np.random.default_rng(30))
-        rng = np.random.default_rng(31)
-        forward(params, rng.standard_normal((4, 6, 6)), train=True)  # nontrivial folded batch norm
-        batch = rng.standard_normal(shape)
-        out, _ = forward(params, batch, train=False)
-        alone = np.stack([forward(params, image, train=False)[0][0] for image in batch])
-        assert np.array_equal(out.view(np.uint32), alone.view(np.uint32))
+        # reads across an image's border or past the buffer's tail.  Eval
+        # reuses a buffer two layers later, and junk left in its pads would
+        # reach the next layer alike in the batch and alone, so the output
+        # is also held to the formula on fresh zero-padded copies
+        for depth in (4, 6):
+            params = init_network(NetworkConfig(depth=depth, features=3, kernel_size=k), np.random.default_rng(30))
+            rng = np.random.default_rng(31)
+            forward(params, rng.standard_normal((4, 6, 6)), train=True)  # nontrivial folded batch norm
+            batch = rng.standard_normal(shape)
+            out, _ = forward(params, batch, train=False)
+            alone = np.stack([forward(params, image, train=False)[0][0] for image in batch])
+            assert np.array_equal(out.view(np.uint32), alone.view(np.uint32)), depth
+            want = _four_pass_eval(params.astype(np.float64), batch)
+            assert np.linalg.norm(out - want) <= FLOAT32_RTOL * np.linalg.norm(want), depth
 
     def test_train_mode_updates_running_stats(self):
         params = init_network(tiny_config(), np.random.default_rng(12))

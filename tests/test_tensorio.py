@@ -108,6 +108,43 @@ class TestMalformedInput:
             read_tensor(path)
 
 
+class TestStreamingReader:
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.bool_])
+    def test_zero_size_records_round_trip(self, tmp_path, dtype, shape):
+        path = tmp_path / "empty.c2t"
+        write_tensor(path, np.zeros(shape, dtype))
+        out = read_tensor(path)
+        assert out.dtype == dtype and out.shape == shape
+        assert tensor_bytes(out) == path.read_bytes()
+
+    def test_short_file_is_refused_before_its_payload_is_allocated(self, tmp_path):
+        # the header claims 2^30 float32 values (4 GiB), the file holds one
+        path = tmp_path / "short.c2t"
+        header = b"C2C1" + struct.pack("<HBB", 1, 0, 2) + struct.pack("<2I", 1 << 15, 1 << 15)
+        path.write_bytes(header + bytes(4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TensorFormatError, match="truncated payload: need 4294967296 bytes, have 4"):
+                read_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_multi_record_checkpoint_round_trips_bit_exact(self, tmp_path):
+        params = init_network(NetworkConfig(depth=5, features=4, kernel_size=5), np.random.default_rng(11))
+        forward(params, np.random.default_rng(12).standard_normal((2, 9, 7)), train=True)  # running statistics
+        params.biases = [np.random.default_rng(13).standard_normal(b.shape).astype(np.float32) for b in params.biases]
+        path = tmp_path / "ckpt.c2k"
+        save_checkpoint(path, params)
+        loaded = load_checkpoint(path)
+        assert len(params.state()) == len(loaded.state()) == 19  # 5 kernels, 2 biases, 4 per batch norm
+        for (name, a), (got_name, b) in zip(params.state(), loaded.state()):
+            assert name == got_name and b.dtype == np.float32 and b.shape == a.shape, name
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), name
+
+
 def planted(record, value, slot=-1):
     """A record's bytes with one float32 slot of its payload set to value."""
     buf = bytearray(record)
