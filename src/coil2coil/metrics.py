@@ -49,23 +49,22 @@ def _local_stats(img, g):
     return mu, mu2 - mu * mu
 
 
-def ssim(test, ref, mask, dynamic_range=None):
+def ssim(test, ref, mask):
     """Mean local SSIM over windows centered inside the mask.
 
     Gaussian 11x11 window (sigma 1.5), applied as two separable 11-tap
-    passes; K1 = 0.01, K2 = 0.03; the dynamic range defaults to the masked
-    peak of ref.  Borders are handled by reflect padding so every window
-    center has a full window.
+    passes; K1 = 0.01, K2 = 0.03; the dynamic range is the masked peak of
+    ref, which must be positive.  Borders are handled by reflect padding so
+    every window center has a full window.
     """
     test = np.asarray(test, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if test.shape != ref.shape:
         raise ValueError(f"shape mismatch: {test.shape} vs {ref.shape}")
     mask = check_mask(mask, ref.shape)
-    if dynamic_range is None:
-        dynamic_range = float(ref[mask].max())
+    dynamic_range = float(ref[mask].max())
     if dynamic_range <= 0:
-        raise ValueError("dynamic range must be positive")
+        raise ValueError("reference peak inside mask is not positive")
     c1 = (SSIM_K1 * dynamic_range) ** 2
     c2 = (SSIM_K2 * dynamic_range) ** 2
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -45,6 +45,9 @@ __all__ = [
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 LR_DECAY = 0.87  # per-epoch factor of the learning rate
+LEAKY_SLOPE = 0.1  # must stay in (0, 1): _leaky_forward's max form depends on it
+BN_MOMENTUM = 0.9  # weight of the old running statistics
+BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -52,29 +55,18 @@ class NetworkConfig:
     depth: int = 6
     features: int = 16
     kernel_size: int = 3
-    leaky_slope: float = 0.1
-    bn_momentum: float = 0.9
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         for f in fields(self):  # checkpoint headers set fields too: types before ranges
             v = getattr(self, f.name)
-            kind = Integral if f.type == "int" else Real
-            if isinstance(v, bool) or not isinstance(v, kind) or not math.isfinite(v):
-                raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"{f.name} must be an int, got {v!r}")
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel size must be odd and >= 1")
-        if not (0.0 < self.leaky_slope < 1.0):
-            raise ValueError("leaky slope must be in (0, 1)")
         if self.features < 1:
             raise ValueError("features must be >= 1")
-        if self.bn_eps <= 0:
-            raise ValueError("bn_eps must be > 0")
-        # past 1 the running-variance update extrapolates and can turn negative
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must be in [0, 1]")
 
     def state_size(self):
         """Number of values NetworkParams.state() holds, counted without
@@ -307,29 +299,28 @@ def forward(params, batch, train=False):
         batch = batch[None]
     if batch.ndim != 3 or batch.shape[0] < 1:
         raise ValueError(f"batch must be (N, H, W), got {batch.shape}")
-    cfg, k = params.config, params.config.kernel_size
+    k, last = params.config.kernel_size, len(params.weights) - 1
     cache = {"input_shape": batch.shape, "train": train, "inputs": [], "bn": []}
-    last, mom = len(params.weights) - 1, cfg.bn_momentum
     x, spare = _pad(batch[None], k), None  # spare: a buffer no later layer reads
     for i, w in enumerate(params.weights):
         j = i - 1  # batch-norm index of a middle layer
         if train:
             cache["inputs"].append(x)
         elif 0 < i < last:  # eval batch norm is conv(x, w*g) + shift - mean*g
-            g = params.bn_scale[j] / np.sqrt(params.bn_var[j] + cfg.bn_eps)
+            g = params.bn_scale[j] / np.sqrt(params.bn_var[j] + BN_EPS)
             w, folded = w * g[:, None, None, None], params.bn_shift[j] - params.bn_mean[j] * g
         y = _conv(x, w, spare if spare is not None and len(spare[0]) == len(w) else None)
         if i == last:
             break
         if train and i > 0:  # batch norm on a contiguous copy; y is scratch for the next conv
-            h, bn_cache, mean, var = _bn_forward_train(y[1].copy(), params.bn_scale[j], params.bn_shift[j], cfg.bn_eps)
+            h, bn_cache, mean, var = _bn_forward_train(y[1].copy(), params.bn_scale[j], params.bn_shift[j], BN_EPS)
             cache["bn"].append(bn_cache)
-            params.bn_mean[j] = mom * params.bn_mean[j] + (1 - mom) * mean
-            params.bn_var[j] = mom * params.bn_var[j] + (1 - mom) * var
-            x, spare = _pad(_leaky_forward(h, cfg.leaky_slope), k), y
+            params.bn_mean[j] = BN_MOMENTUM * params.bn_mean[j] + (1 - BN_MOMENTUM) * mean
+            params.bn_var[j] = BN_MOMENTUM * params.bn_var[j] + (1 - BN_MOMENTUM) * var
+            x, spare = _pad(_leaky_forward(h, LEAKY_SLOPE), k), y
             continue
         bias = (params.biases[0] if i == 0 else folded)[:, None]  # on whole rows, pads included
-        _leaky_forward(np.add(y[0], bias, out=y[0]), cfg.leaky_slope)
+        _leaky_forward(np.add(y[0], bias, out=y[0]), LEAKY_SLOPE)
         x, spare = _zero_pads(y, k), (None if train else x)
     out = y[1][0] + params.biases[1]
     out += batch
@@ -344,7 +335,6 @@ def backward(params, cache, output_grads):
     """
     if not cache.get("train"):
         raise ValueError("backward needs a cache from a train-mode forward")
-    cfg = params.config
     dy = np.asarray(output_grads, dtype=params.weights[0].dtype)[None]
     if dy.shape[1:] != cache["input_shape"]:
         raise ValueError("output gradient shape does not match cached batch")
@@ -352,7 +342,7 @@ def backward(params, cache, output_grads):
     grads = {f"conv{last}.bias": _channel_sum(dy)}
     for i in range(last, -1, -1):
         if i < last:  # the activation's output is the next conv's cached input
-            dy = _leaky_backward(dy, cache["inputs"][i + 1][1], cfg.leaky_slope)
+            dy = _leaky_backward(dy, cache["inputs"][i + 1][1], LEAKY_SLOPE)
             if i == 0:
                 grads["conv0.bias"] = _channel_sum(dy)
             else:

@@ -22,9 +22,10 @@ Checkpoint (.c2k) layout:
 
 Reading a malformed tensor file or checkpoint raises TensorFormatError naming
 the file; a checkpoint is malformed too when its config fails NetworkConfig's
-checks or a batch-norm running variance is negative.  A float32/complex64
-payload holding NaN or +-inf raises it too, on write as on read: every array
-these files hand the program is finite, and nothing downstream rescans.
+checks, its tensor names are not NetworkParams.state()'s in that order, or a
+batch-norm running variance is negative.  A float32/complex64 payload holding
+NaN or +-inf raises it too, on write as on read: every array these files hand
+the program is finite, and nothing downstream rescans.
 Files are read as a stream: a record's payload is read once, straight into
 the returned array, after its claimed size is checked against the file's.
 """
@@ -178,15 +179,6 @@ def save_checkpoint(path, params):
             f.write(tensor_bytes(arr))
 
 
-def _stored(arrays, name, shape):
-    if name not in arrays:
-        raise TensorFormatError(f"checkpoint lacks tensor {name!r}")
-    arr = arrays[name]
-    if arr.dtype != np.float32 or arr.shape != shape:
-        raise TensorFormatError(f"tensor {name!r} is {arr.dtype} {arr.shape}, expected float32 {shape}")
-    return arr
-
-
 def load_checkpoint(path):
     return _read_file(path, _checkpoint)
 
@@ -199,24 +191,26 @@ def _checkpoint(f):
         header = json.loads(head.decode())
         config = NetworkConfig(**header["config"])
         names = [str(name) for name in header["tensors"]]
-    # OverflowError: an int past float range; RecursionError: JSON nested too deep
+    # RecursionError: JSON nested too deep
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
         raise TensorFormatError(f"bad checkpoint header: {exc!r}") from None
-    arrays = {name: _read_record(f) for name in names}
-    held = sum(arr.size for arr in arrays.values())
+    records = [_read_record(f) for _ in names]
+    held = sum(arr.size for arr in records)
     if config.state_size() > held:  # before init_network allocates the network
         raise TensorFormatError(
             f"config needs {config.state_size()} values, the records hold {held}"
         )
     params = init_network(config, np.random.default_rng(0))
-    for name, arr in params.state():
-        np.copyto(arr, _stored(arrays, name, arr.shape))
+    state = params.state()
+    if names != [name for name, _ in state]:
+        raise TensorFormatError(f"tensors {names}, expected {[name for name, _ in state]}")
+    for (name, arr), stored in zip(state, records):
+        if stored.dtype != np.float32 or stored.shape != arr.shape:
+            raise TensorFormatError(
+                f"tensor {name!r} is {stored.dtype} {stored.shape}, expected float32 {arr.shape}"
+            )
+        np.copyto(arr, stored)
     for i, var in enumerate(params.bn_var):
         if (var < 0).any():
             raise TensorFormatError(f"bn{i}.var holds a negative running variance")
-    # older checkpoints carry a bias on the conv feeding each batch norm; it
-    # only shifts the pre-norm values, so fold it into the running mean
-    for i, mean in enumerate(params.bn_mean):
-        if f"conv{i + 1}.bias" in arrays:
-            mean -= _stored(arrays, f"conv{i + 1}.bias", mean.shape)
     return params

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import network as net
-from .imaging import check_mask, coil_combine, effective_sensitivity
+from .imaging import check_mask, check_stack, coil_combine, effective_sensitivity
 from .metrics import psnr
 from .pairs import SENS_FLOOR, TrainingPair, check_slice, combine_all, pair_from_checked, split_channels
 from .pairs import make_training_pair  # noqa: F401  unused here; perfbench's tests wrap this binding
@@ -231,13 +231,15 @@ def denoise_two_group_average(params, stack, sens, rng, mask=None):
     be well behaved, so among SPLIT_CANDIDATES random balanced splits the
     one with the best worst-case coverage is used.
     """
-    stack = np.asarray(stack)
+    stack = check_stack(stack, sens)
     sens_arr = np.asarray(sens)
     m = stack.shape[0]
     if m < 2:
         raise ValueError("two-group inference needs at least 2 channels")
+    if mask is not None:
+        mask = check_mask(mask, stack.shape[1:])
     s_full = effective_sensitivity(sens_arr, range(m))
-    region = np.asarray(mask, dtype=bool) if mask is not None else s_full >= SENS_FLOOR * s_full.max()
+    region = mask if mask is not None else s_full >= SENS_FLOOR * s_full.max()
 
     split, best = None, -np.inf
     for _ in range(SPLIT_CANDIDATES):

@@ -354,6 +354,15 @@ class TestErrorsAndGradcheck:
         config = {**dataclasses.asdict(params.config), "features": float("nan")}
         assert self._denoise_with_checkpoint(tmp_path, config, params.state()) == 2
 
+    def test_checkpoint_from_before_the_constants_is_data_error(self, tmp_path, capsys):
+        # the layout earlier versions wrote: their config named the leaky slope
+        # and batch-norm settings that are constants now
+        params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
+        config = {**dataclasses.asdict(params.config), "leaky_slope": 0.1, "bn_momentum": 0.9, "bn_eps": 1e-5}
+        assert self._denoise_with_checkpoint(tmp_path, config, params.state()) == 2
+        assert "bad.c2k" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_deeply_nested_checkpoint_header_is_data_error(self, tmp_path, capsys):
         # json.loads raises RecursionError on this header
         ckpt = tmp_path / "deep.c2k"

@@ -72,10 +72,14 @@ class TestParsing:
             ("coils", "falloff"),
             ("coils", "use_phases"),
             ("training", "lr_decay"),
+            ("network", "leaky_slope"),
+            ("network", "bn_momentum"),
+            ("network", "bn_eps"),
         ],
     )
     def test_settings_fixed_as_constants_are_unknown_keys(self, section, key):
-        # the phantom family, coil ring, mask rule and lr decay are module constants
+        # the phantom family, coil ring, mask rule, lr decay, leaky slope and
+        # batch-norm settings are module constants
         with pytest.raises(ConfigError, match=rf"line 3: unknown key '{key}'"):
             parse_config(f"[{section}]\n\n{key} = 1\n")
 
@@ -101,9 +105,8 @@ class TestParsing:
             ("training", "validate_every", "-1"),
             ("training", "base_lr", "-0.5"),
             ("training", "base_lr", "0"),
-            ("network", "bn_eps", "-1e-5"),
-            ("network", "bn_eps", "0"),
-            ("network", "bn_momentum", "1.5"),
+            ("network", "depth", "1"),
+            ("network", "features", "0"),
         ],
     )
     def test_out_of_range_values_are_refused_by_their_config(self, section, key, value):

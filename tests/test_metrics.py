@@ -73,18 +73,20 @@ class TestSsim:
         # flip around the mean: luminance is preserved but the local
         # covariance changes sign, so SSIM goes negative
         img = np.random.default_rng(4).uniform(0.1, 1.0, (16, 16))
+        img[0, 0] = 1.0  # a dynamic range of 1
         flipped = 2 * img.mean() - img
-        assert ssim(flipped, img, full_mask(img.shape), dynamic_range=1.0) < 0
+        assert ssim(flipped, img, full_mask(img.shape)) < 0
 
     def test_constant_offset_closed_form(self):
         # constant images: variances and covariance vanish, leaving the
-        # luminance term (2 mu_t mu_r + c1) / (mu_t^2 + mu_r^2 + c1)
-        r, c, dr = 0.8, 0.1, 1.0
+        # luminance term (2 mu_t mu_r + c1) / (mu_t^2 + mu_r^2 + c1); the
+        # dynamic range is the reference's peak, r
+        r, c = 1.0, -0.2
         ref = np.full((16, 16), r)
         test = np.full((16, 16), r + c)
-        c1 = (SSIM_K1 * dr) ** 2
+        c1 = (SSIM_K1 * r) ** 2
         want = (2 * (r + c) * r + c1) / ((r + c) ** 2 + r**2 + c1)
-        got = ssim(test, ref, full_mask(ref.shape), dynamic_range=dr)
+        got = ssim(test, ref, full_mask(ref.shape))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_matches_loop_oracle(self):
@@ -148,15 +150,20 @@ class TestSsim:
         rng = np.random.default_rng(6)
         a = rng.uniform(0.2, 1.0, (16, 16))
         b = rng.uniform(0.2, 1.0, (16, 16))
+        a[0, 0] = b[-1, -1] = 1.0  # either way round, a dynamic range of 1
         mask = full_mask((16, 16))
-        assert ssim(a, b, mask, dynamic_range=1.0) == pytest.approx(
-            ssim(b, a, mask, dynamic_range=1.0), rel=1e-12
-        )
+        assert ssim(a, b, mask) == pytest.approx(ssim(b, a, mask), rel=1e-12)
 
     def test_bad_dynamic_range(self):
-        img = np.ones((8, 8))
-        with pytest.raises(ValueError):
-            ssim(img, img, full_mask((8, 8)), dynamic_range=0.0)
+        # the reference's peak inside the mask is the range: a brighter voxel
+        # outside the mask does not count
+        mask = full_mask((8, 8))
+        mask[0, 0] = False
+        for peak in (0.0, -1.0):
+            ref = np.full((8, 8), peak)
+            ref[0, 0] = 1.0
+            with pytest.raises(ValueError, match="not positive"):
+                ssim(np.ones((8, 8)), ref, mask)
 
 
 class TestPairedTTest:

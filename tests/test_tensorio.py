@@ -298,6 +298,30 @@ def _set_config(key, value):
     return corrupt
 
 
+def _pre_change_config(header, arrays):
+    # every checkpoint written before leaky slope and batch-norm settings
+    # became constants names them in its config
+    header["config"].update(leaky_slope=0.1, bn_momentum=0.9, bn_eps=1e-5)
+    return header
+
+
+def _extra_record(header, arrays):
+    arrays["bn9.var"] = np.ones(3, np.float32)
+    header["tensors"].append("bn9.var")
+    return header
+
+
+def _reordered_records(header, arrays):
+    # a consistent file with two same-shaped records swapped: only their
+    # names tell them apart
+    names, stored = header["tensors"], dict(arrays)
+    i, j = names.index("bn0.mean"), names.index("bn0.var")
+    names[i], names[j] = names[j], names[i]
+    arrays.clear()
+    arrays.update((name, stored[name]) for name in names)
+    return header
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize(
         "corrupt",
@@ -318,13 +342,18 @@ class TestCheckpoint:
             _set_config("bn_eps", -1),
             _set_config("bn_eps", 0.0),
             _set_config("bn_momentum", 1.5),
+            _set_config("depth", 10**400),
+            _pre_change_config,
+            _extra_record,
+            _reordered_records,
         ],
         ids=[
             "missing-tensor", "wrong-shape", "complex-tensor", "list-header",
             "no-config", "no-tensors", "unknown-config-key",
             "float-depth", "float-kernel-size", "nan-features", "eps-past-float-range",
             "deeply-nested-header", "negative-running-variance", "negative-bn-eps",
-            "zero-bn-eps", "bn-momentum-above-one",
+            "zero-bn-eps", "bn-momentum-above-one", "depth-past-float-range",
+            "pre-change-config", "extra-record", "reordered-records",
         ],
     )
     def test_malformed_checkpoint(self, tmp_path, corrupt):
@@ -393,35 +422,6 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(TensorFormatError):
             load_checkpoint(path)
-
-    def test_pre_norm_conv_biases_fold_into_running_mean(self, tmp_path):
-        # Older checkpoints carry a bias on every conv.  A bias b feeding
-        # batch norm with running mean mu + b acts exactly like no bias with
-        # running mean mu.  Dyadic values keep both files exact in float32.
-        cfg = NetworkConfig(depth=4, features=3)
-        rng = np.random.default_rng(7)
-        params = init_network(cfg, rng)
-        params.biases = [rng.integers(-32, 32, b.shape) / 16 for b in params.biases]
-        params.bn_mean = [rng.integers(-32, 32, 3) / 16 for _ in params.bn_mean]
-        params.bn_var = [rng.integers(1, 32, 3) / 16 for _ in params.bn_var]
-        path = tmp_path / "new.c2k"
-        save_checkpoint(path, params)
-        reference = load_checkpoint(path)
-
-        arrays = dict(reference.flat())
-        for i in range(len(reference.bn_mean)):
-            b = rng.integers(-32, 32, 3) / 16
-            arrays[f"conv{i + 1}.bias"] = b
-            arrays[f"bn{i}.mean"] = reference.bn_mean[i] + b
-            arrays[f"bn{i}.var"] = reference.bn_var[i]
-        old = tmp_path / "old.c2k"
-        _write_checkpoint(old, {"config": dataclasses.asdict(cfg), "tensors": list(arrays)}, arrays)
-        loaded = load_checkpoint(old)
-        assert [name for name, _ in loaded.flat()] == [name for name, _ in reference.flat()]
-        x = np.random.default_rng(8).standard_normal((2, 8, 8))
-        a, _ = forward(reference, x, train=False)
-        b, _ = forward(loaded, x, train=False)
-        assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 @fuzz_settings

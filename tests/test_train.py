@@ -346,6 +346,17 @@ class TestInference:
         with pytest.raises(ValueError, match=match):
             denoise_image(identity_params(), image, mask=mask)
 
+    @pytest.mark.parametrize(
+        "mask, match",
+        [(np.ones((8, 8), bool), "mask shape"), (np.zeros((16, 16), bool), "no true voxels")],
+        ids=["mask-shape", "empty-mask"],
+    )
+    def test_two_group_checks_its_mask(self, mask, match):
+        # refused before a split is scored, as denoise refuses them
+        stack = np.ones((4, 16, 16), complex)
+        with pytest.raises(ValueError, match=match):
+            denoise_two_group_average(identity_params(), stack, stack, np.random.default_rng(0), mask=mask)
+
     def test_validate_returns_mean_psnr(self):
         params = identity_params()
         slices = tiny_slices(n=3, sigma=0.2)
