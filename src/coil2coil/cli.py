@@ -18,7 +18,7 @@ from . import datasets, network, tensorio
 from .config import ConfigError, load_config
 from .metrics import paired_t_test, psnr, ssim
 from .pairs import empirical_noise_correlations, make_training_pair, split_channels
-from .train import TrainConfig, denoise, denoise_image, train
+from .train import MODES, TrainConfig, denoise, denoise_image, train
 
 GRADCHECK_TOL = 1e-4
 
@@ -147,7 +147,7 @@ def _cmd_train(args):
     n_slices, n_val = t.pop("slices"), t.pop("val_slices")
     net_config = network.NetworkConfig(**cfg["network"])
     train_config = TrainConfig(**t, seed=args.seed)
-    slices = datasets.simulate_dataset(cfg, n_slices, args.seed, with_second=train_config.mode == "N2N")
+    slices = datasets.simulate_dataset(cfg, n_slices, args.seed, with_second=MODES[train_config.mode][1] == "stack_b")
     # validation draws from its own seed, so skipping it leaves training unchanged
     val = datasets.simulate_dataset(cfg, n_val, args.seed + 10_000) if n_val and t["validate_every"] else None
     params, log, _ = train(slices, net_config, train_config, val_slices=val)

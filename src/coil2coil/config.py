@@ -37,13 +37,6 @@ class ConfigError(ValueError):
 
 
 def _convert(raw, default, where):
-    if isinstance(default, bool):
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{where}: expected boolean, got {raw!r}")
     try:
         if isinstance(default, int):
             return int(raw)

@@ -240,18 +240,18 @@ def _conv_grads(dy, x, w, input_grad):
     return dwt.reshape(f, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2), dx
 
 
-def _leaky_forward(x, slope):
-    """In place on x.  With 0 < slope < 1, max(x, slope*x) is x for x >= 0
-    (-0.0 included) and slope*x below, bit for bit."""
-    return np.maximum(x, slope * x, out=x)
+def _leaky_forward(x):
+    """In place on x.  With 0 < LEAKY_SLOPE < 1, max(x, LEAKY_SLOPE*x) is x
+    for x >= 0 (-0.0 included) and LEAKY_SLOPE*x below, bit for bit."""
+    return np.maximum(x, LEAKY_SLOPE * x, out=x)
 
 
-def _leaky_backward(dy, x, slope):
-    """In place on dy, times where(x >= 0, 1, slope) without branches: slope +
-    (1 - slope) rounds to exactly 1.  x is the activation's input or output."""
+def _leaky_backward(dy, x):
+    """In place on dy, times where(x >= 0, 1, LEAKY_SLOPE) without branches, as
+    LEAKY_SLOPE + (1 - LEAKY_SLOPE) rounds to exactly 1.  x is the activation's input or output."""
     f = np.greater_equal(x, 0, out=np.empty(x.shape, dy.dtype))
-    f *= 1 - slope
-    f += slope
+    f *= 1 - LEAKY_SLOPE
+    f += LEAKY_SLOPE
     return np.multiply(dy, f, out=dy)
 
 
@@ -260,12 +260,12 @@ def _channel_sum(x):
     return x.reshape(len(x), -1) @ np.ones(x[0].size, x.dtype)
 
 
-def _bn_forward_train(x, scale, shift, eps):
+def _bn_forward_train(x, scale, shift):
     axes = (1, 2, 3)  # a channel's contiguous row
     mean = x.mean(axis=axes, keepdims=True)
     xhat = x - mean
     var = (xhat * xhat).mean(axis=axes, keepdims=True)  # biased; the same sums as x.var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     y = xhat * scale[:, None, None, None]
     y += shift[:, None, None, None]
@@ -313,14 +313,14 @@ def forward(params, batch, train=False):
         if i == last:
             break
         if train and i > 0:  # batch norm on a contiguous copy; y is scratch for the next conv
-            h, bn_cache, mean, var = _bn_forward_train(y[1].copy(), params.bn_scale[j], params.bn_shift[j], BN_EPS)
+            h, bn_cache, mean, var = _bn_forward_train(y[1].copy(), params.bn_scale[j], params.bn_shift[j])
             cache["bn"].append(bn_cache)
             params.bn_mean[j] = BN_MOMENTUM * params.bn_mean[j] + (1 - BN_MOMENTUM) * mean
             params.bn_var[j] = BN_MOMENTUM * params.bn_var[j] + (1 - BN_MOMENTUM) * var
-            x, spare = _pad(_leaky_forward(h, LEAKY_SLOPE), k), y
+            x, spare = _pad(_leaky_forward(h), k), y
             continue
         bias = (params.biases[0] if i == 0 else folded)[:, None]  # on whole rows, pads included
-        _leaky_forward(np.add(y[0], bias, out=y[0]), LEAKY_SLOPE)
+        _leaky_forward(np.add(y[0], bias, out=y[0]))
         x, spare = _zero_pads(y, k), (None if train else x)
     out = y[1][0] + params.biases[1]
     out += batch
@@ -342,7 +342,7 @@ def backward(params, cache, output_grads):
     grads = {f"conv{last}.bias": _channel_sum(dy)}
     for i in range(last, -1, -1):
         if i < last:  # the activation's output is the next conv's cached input
-            dy = _leaky_backward(dy, cache["inputs"][i + 1][1], LEAKY_SLOPE)
+            dy = _leaky_backward(dy, cache["inputs"][i + 1][1])
             if i == 0:
                 grads["conv0.bias"] = _channel_sum(dy)
             else:

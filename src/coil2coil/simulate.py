@@ -85,13 +85,11 @@ class CoilSpec:
         return len(self.centers)
 
     @classmethod
-    def ring(cls, m, phases=None):
-        """m channels evenly spaced on a circle just outside the FOV."""
+    def ring(cls, m):
+        """m channels evenly spaced on a circle just outside the FOV, phased by their angle."""
         ang = 2 * np.pi * np.arange(m) / m
         centers = tuple((COIL_RADIUS * np.cos(t), COIL_RADIUS * np.sin(t)) for t in ang)
-        if phases is None:
-            phases = tuple(float(t) for t in ang)
-        return cls(centers=centers, falloff=COIL_FALLOFF, phases=tuple(phases))
+        return cls(centers=centers, falloff=COIL_FALLOFF, phases=tuple(float(t) for t in ang))
 
 
 @dataclass(frozen=True)

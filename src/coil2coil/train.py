@@ -1,21 +1,22 @@
-"""Training loop (three supervision modes), the sensitivity-weighted loss,
-and the inference paths.
+"""Training loop, the sensitivity-weighted loss, and the inference paths.
 
-Modes:
+Five supervision modes, one MODES entry each:
   C2C  -- self-supervised pairs from coil subgroups, regenerated with a
-          fresh random split every epoch;
+          fresh random split every epoch; its ablations C2C-unwhitened
+          (the raw second-group label) and C2C-unnormalized (unit maps);
   N2N  -- two independent noisy full combinations of the same image;
   N2CL -- noisy full combination vs the clean combined magnitude.
 
 The C2C loss weights prediction and label by the pair's sensitivity maps
-so both sides share one noise-free image; N2N and N2CL pairs, and C2C pairs
-with normalization off (ablation), carry unit maps, so it is their masked MSE.
+so both sides share one noise-free image; N2N, N2CL and C2C-unnormalized
+pairs carry unit maps, so it is their masked MSE.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +37,6 @@ __all__ = [
     "denoise_two_group_average",
 ]
 
-MODES = ("C2C", "N2N", "N2CL")
-MODE_NEEDS = {"N2N": "a second noise realization per slice", "N2CL": "clean images"}
 SENS_EPS = 1e-12  # floor of a group's sensitivity, relative to its peak
 SPLIT_CANDIDATES = 8  # random splits scored by two-group inference
 
@@ -48,8 +47,6 @@ class TrainConfig:
     batch_size: int = 8
     base_lr: float = 1e-4
     mode: str = "C2C"
-    whiten: bool = True
-    normalize: bool = True
     seed: int = 0
     validate_every: int = 0  # 0 disables per-epoch validation
 
@@ -58,10 +55,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.validate_every < 0:
             raise ValueError("validate_every must be >= 0")
 
@@ -112,38 +109,50 @@ def _input_scale(image, mask=None):
     return s if s > 0 else 1.0
 
 
-def _epoch_pairs(slices, config, rng):
-    """One epoch's pairs as one TrainingPair, and the C2C splits drawn, from
-    slices whose stack, sensitivities, psi and mask passed check_slice.
+def _c2c(data, rng, whiten, normalize):
+    """A C2C pair from a fresh random split of the slice's channels, and the split."""
+    split = split_channels(data.stack.shape[0], rng)
+    p = pair_from_checked(data.stack, data.sens, data.psi, split, data.mask, whiten)
+    if not normalize:
+        p = replace(p, sens_in=np.ones(data.mask.shape), sens_label=np.ones(data.mask.shape))
+    return p, split
 
-    Every field is stacked: the arrays to (N, H, W), the coverages and
-    fallback counts to (N,).  N2N pairs the input with the combination of
-    the second noise realization, N2CL with the clean image; both, and C2C
-    with normalization off, carry unit maps.  Each pair's input and label
-    are divided by the input's scale, so the network input has unit masked
-    std and the loss minimizer is unchanged; inference applies the same
-    rule to its own input.
+
+def _versus_full_combination(data, label):
+    """The slice's full combination paired with label, both maps unit; no split."""
+    ones = np.ones(data.mask.shape)
+    return TrainingPair(combine_all(data.stack, data.sens), label, ones, ones, data.mask), None
+
+
+# mode -> (builder(slice, rng) -> (TrainingPair, split or None), the SliceData field it needs or None)
+MODES = {
+    "C2C": (partial(_c2c, whiten=True, normalize=True), None),
+    "C2C-unwhitened": (partial(_c2c, whiten=False, normalize=True), None),
+    "C2C-unnormalized": (partial(_c2c, whiten=True, normalize=False), None),
+    "N2N": (lambda data, rng: _versus_full_combination(data, combine_all(data.stack_b, data.sens)), "stack_b"),
+    "N2CL": (lambda data, rng: _versus_full_combination(data, data.clean), "clean"),
+}
+
+
+def _epoch_pairs(slices, config, rng):
+    """One epoch's pairs from the mode's builder, stacked as one TrainingPair
+    (arrays (N, H, W), coverages and fallback counts (N,)), and the C2C
+    splits drawn, from slices that passed check_slice.  Each pair's input
+    and label are divided by the input's scale, so the network input has
+    unit masked std and the loss minimizer is unchanged; inference applies
+    the same rule to its own input.
     """
-    pairs = []
-    splits = []
+    build, needs = MODES[config.mode]
+    pairs, splits = [], []
     for data in slices:
-        ones = np.ones(np.shape(data.mask))
-        if config.mode == "C2C":
-            split = split_channels(data.stack.shape[0], rng)
-            splits.append(split)
-            p = pair_from_checked(data.stack, data.sens, data.psi, split, data.mask, config.whiten)
-            if not config.normalize:
-                p = replace(p, sens_in=ones, sens_label=ones)
-        else:
-            second = data.stack_b if config.mode == "N2N" else data.clean
-            if second is None:
-                raise ValueError(f"{config.mode} mode needs {MODE_NEEDS[config.mode]}")
-            label = combine_all(second, data.sens) if config.mode == "N2N" else second
-            p = TrainingPair(combine_all(data.stack, data.sens), label, ones, ones, data.mask)
+        if needs and getattr(data, needs) is None:
+            raise ValueError(f"{config.mode} mode needs each slice's {needs}")
+        p, split = build(data, rng)
+        splits.append(split)
         s = _input_scale(p.image_in, p.mask)
         pairs.append(replace(p, image_in=p.image_in / s, image_label=p.image_label / s))
     stacked = (np.stack([getattr(p, f.name) for p in pairs]) for f in fields(TrainingPair))
-    return TrainingPair(*stacked), splits
+    return TrainingPair(*stacked), [split for split in splits if split is not None]
 
 
 def train(slices, net_config, config, val_slices=None):

@@ -9,6 +9,7 @@ slices, an 8-channel ring array, noise level 1.0, and a depth-6/16-feature
 network trained for 30 epochs in each supervision mode.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -75,11 +76,8 @@ def study():
     slices = simulate_dataset(cfg, N_SLICES, seed=0, with_second=True)
     val = simulate_dataset(cfg, VAL_SLICES, seed=VAL_SEED)
 
-    def run(mode, normalize=True):
-        tc = TrainConfig(
-            epochs=EPOCHS, batch_size=8, base_lr=BASE_LR, mode=mode,
-            normalize=normalize, seed=0,
-        )
+    def run(mode):
+        tc = TrainConfig(epochs=EPOCHS, batch_size=8, base_lr=BASE_LR, mode=mode, seed=0)
         params, _, _ = train(slices, NET, tc)
         return params, validate(params, val)
 
@@ -87,7 +85,7 @@ def study():
     models["C2C"], scores["C2C"] = run("C2C")
     models["N2N"], scores["N2N"] = run("N2N")
     models["N2CL"], scores["N2CL"] = run("N2CL")
-    models["C2C_unnorm"], scores["C2C_unnorm"] = run("C2C", normalize=False)
+    models["C2C_unnorm"], scores["C2C_unnorm"] = run("C2C-unnormalized")
     scores["input"] = float(np.mean(
         [psnr(combine_all(s.stack, s.sens), s.clean, s.mask) for s in val]
     ))
@@ -99,7 +97,7 @@ def whitening_scene():
     rng = np.random.default_rng(42)
     phantom = make_phantom(random_phantom_spec(32, rng))
     mask = make_mask(phantom)
-    sens = make_sensitivities(CoilSpec.ring(4, phases=(0, 0, 0, 0)), phantom.shape)
+    sens = make_sensitivities(dataclasses.replace(CoilSpec.ring(4), phases=(0,) * 4), phantom.shape)
     psi = make_noise_covariance(
         sens, phantom, mask, NoiseSpec(sigma=0.2, rho_min=0.0, rho_max=0.2),
         np.random.default_rng(5),

@@ -112,6 +112,16 @@ class TestPairgen:
 
 
 class TestTrainDenoiseEval:
+    def test_n2n_train_draws_the_second_realization(self, tmp_path, capsys):
+        # the mode's MODES entry asks for each slice's stack_b, so train
+        # simulates a second noise realization; without it training refuses
+        cfg = tmp_path / "n2n.cfg"
+        cfg.write_text(TINY_CONFIG + "mode = N2N\n")
+        out = tmp_path / "run"
+        assert cli_main(["train", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        assert capsys.readouterr().out.startswith("train: N2N, final loss ")
+        assert len((out / "trainlog.csv").read_text().splitlines()) == 3
+
     def test_end_to_end(self, tmp_path, tiny_config):
         run_a, run_b = tmp_path / "ta", tmp_path / "tb"
         for out in (run_a, run_b):

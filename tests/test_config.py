@@ -34,7 +34,7 @@ class TestParsing:
         # run settings
         [training]
         epochs = 5          # short run
-        whiten = false
+        batch_size = 2
         mode = N2N
 
         [noise]
@@ -42,16 +42,11 @@ class TestParsing:
         """
         cfg = parse_config(text)
         assert cfg["training"]["epochs"] == 5
-        assert cfg["training"]["whiten"] is False
+        assert cfg["training"]["batch_size"] == 2
         assert cfg["training"]["mode"] == "N2N"
         assert cfg["noise"]["sigma"] == 0.5
         # untouched sections keep defaults
         assert cfg["network"] == DEFAULTS["network"]
-
-    def test_bool_spellings(self):
-        for raw, want in (("true", True), ("ON", True), ("0", False), ("no", False)):
-            cfg = parse_config(f"[training]\nnormalize = {raw}\n")
-            assert cfg["training"]["normalize"] is want
 
     def test_unknown_section_with_line_number(self):
         for section in ("nope", "evaluation"):
@@ -72,6 +67,8 @@ class TestParsing:
             ("coils", "falloff"),
             ("coils", "use_phases"),
             ("training", "lr_decay"),
+            ("training", "whiten"),
+            ("training", "normalize"),
             ("network", "leaky_slope"),
             ("network", "bn_momentum"),
             ("network", "bn_eps"),
@@ -79,7 +76,8 @@ class TestParsing:
     )
     def test_settings_fixed_as_constants_are_unknown_keys(self, section, key):
         # the phantom family, coil ring, mask rule, lr decay, leaky slope and
-        # batch-norm settings are module constants
+        # batch-norm settings are module constants; whitening and sensitivity
+        # normalization are chosen by the mode (C2C-unwhitened, C2C-unnormalized)
         with pytest.raises(ConfigError, match=rf"line 3: unknown key '{key}'"):
             parse_config(f"[{section}]\n\n{key} = 1\n")
 
@@ -96,8 +94,6 @@ class TestParsing:
             parse_config("[training]\nepochs = many\n")
         with pytest.raises(ConfigError, match="expected float"):
             parse_config("[noise]\nsigma = loud\n")
-        with pytest.raises(ConfigError, match="expected boolean"):
-            parse_config("[training]\nwhiten = maybe\n")
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -105,12 +101,17 @@ class TestParsing:
             ("training", "validate_every", "-1"),
             ("training", "base_lr", "-0.5"),
             ("training", "base_lr", "0"),
+            ("training", "base_lr", "nan"),
+            ("training", "base_lr", "inf"),
             ("network", "depth", "1"),
             ("network", "features", "0"),
         ],
     )
     def test_out_of_range_values_are_refused_by_their_config(self, section, key, value):
-        cfg = parse_config(f"[{section}]\n{key} = {value}\n")[section]
+        # the dataclass refuses the value itself, so code that builds the config
+        # without the reader (which refuses nan and inf first) gets the same check
+        cfg = dict(DEFAULTS[section])
+        cfg[key] = type(cfg[key])(value)
         if section == "training":
             cfg = {k: v for k, v in cfg.items() if k not in ("slices", "val_slices")}
         with pytest.raises(ValueError, match=key):

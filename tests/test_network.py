@@ -440,7 +440,7 @@ class TestInPlaceKernels:
     def test_leaky_forward_matches_where(self):
         x = self.signed_data()
         want = np.where(x >= 0, x, 0.1 * x)
-        got = _leaky_forward(x.copy(), 0.1)
+        got = _leaky_forward(x.copy())
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_leaky_backward_matches_where(self):
@@ -448,7 +448,7 @@ class TestInPlaceKernels:
         dy = np.random.default_rng(20).standard_normal(x.shape)
         dy.flat[6:8] = [-0.0, 0.0]
         want = dy * np.where(x >= 0, 1.0, 0.1)
-        got = _leaky_backward(dy.copy(), x, 0.1)
+        got = _leaky_backward(dy.copy(), x)
         assert np.array_equal(_bits(got), _bits(want))
 
     def test_leaky_backward_matches_where_in_float32(self):
@@ -458,7 +458,7 @@ class TestInPlaceKernels:
         dy = np.random.default_rng(20).standard_normal(x.shape).astype(np.float32)
         dy.flat[6:10] = [-0.0, 0.0, -1e-40, 1e-40]
         want = dy * np.where(x >= 0, np.float32(1), np.float32(0.1))
-        got = _leaky_backward(dy.copy(), x, 0.1)
+        got = _leaky_backward(dy.copy(), x)
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
@@ -466,7 +466,7 @@ class TestInPlaceKernels:
     def test_bn_train_statistics_match_mean_and_var(self, shape):
         x = 3.0 * np.random.default_rng(21).standard_normal(shape) + 1.0
         c = shape[0]
-        _, _, mean, var = _bn_forward_train(x, np.ones(c), np.zeros(c), 1e-5)
+        _, _, mean, var = _bn_forward_train(x, np.ones(c), np.zeros(c))
         assert np.array_equal(_bits(mean), _bits(x.mean(axis=(1, 2, 3))))
         assert np.array_equal(_bits(var), _bits(x.var(axis=(1, 2, 3))))
 
@@ -491,12 +491,12 @@ class TestBackward:
         rng = np.random.default_rng(27)
         x = 2.0 * rng.standard_normal((4, 3, 6, 5)) + 0.5
         dy = rng.standard_normal(x.shape)
-        scale, shift, eps = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4), 1e-5
-        _, (xhat, _), _, var = _bn_forward_train(x, scale, shift, eps)
+        scale, shift = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)
+        _, (xhat, _), _, var = _bn_forward_train(x, scale, shift)
         column = (4, 1, 1, 1)
-        dx = _bn_backward_four_pass(dy, xhat, 1.0 / np.sqrt(var + eps).reshape(column), scale.reshape(column))
+        dx = _bn_backward_four_pass(dy, xhat, 1.0 / np.sqrt(var + network.BN_EPS).reshape(column), scale.reshape(column))
         want = dx, (dy * xhat).sum(axis=(1, 2, 3)), dy.sum(axis=(1, 2, 3))
-        _, cache, _, _ = _bn_forward_train(x.astype(dtype), scale.astype(dtype), shift.astype(dtype), eps)
+        _, cache, _, _ = _bn_forward_train(x.astype(dtype), scale.astype(dtype), shift.astype(dtype))
         got = _bn_backward(dy.astype(dtype), cache)
         for name, a, b in zip(("dx", "dscale", "dshift"), got, want):
             assert a.dtype == dtype, name

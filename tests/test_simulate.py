@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestMakeSensitivities:
         assert np.allclose(np.abs(sens), 1.0)
 
     def test_zero_phases_real_positive(self):
-        spec = CoilSpec.ring(4, phases=(0, 0, 0, 0))
+        spec = dataclasses.replace(CoilSpec.ring(4), phases=(0,) * 4)
         sens = make_sensitivities(spec, (8, 8))
         assert np.all(sens.imag == 0)
         assert np.all(sens.real > 0)

@@ -21,6 +21,7 @@ from coil2coil.simulate import (
 )
 from coil2coil.tensorio import load_checkpoint, save_checkpoint
 from coil2coil.train import (
+    MODES,
     TrainConfig,
     _epoch_pairs,
     _input_scale,
@@ -84,8 +85,7 @@ class TestLoss:
         assert np.allclose(grad, 0.0, atol=1e-12)
 
     def test_unnormalized_is_masked_mse(self):
-        # a pair with unit maps, as N2N, N2CL and the normalization-off
-        # ablation build them
+        # a pair with unit maps, as N2N, N2CL and C2C-unnormalized build them
         pair = unit_maps(random_pair(np.random.default_rng(1)))
         pred = np.random.default_rng(2).uniform(0.5, 2.0, pair.image_in.shape)
         loss, _ = c2c_loss(pred, pair)
@@ -111,8 +111,8 @@ class TestLoss:
         # the oracle is the per-pair loss and loop the training step ran
         # before one call served a batch: the mean of the losses in batch
         # order, each gradient over the batch size; masks of different counts.
-        # With normalize off the batch holds unit-map pairs, as _epoch_pairs
-        # builds them for the ablation.
+        # With normalize off the batch holds unit-map pairs, as the
+        # C2C-unnormalized mode builds them.
         rng = np.random.default_rng(size)
         pairs = [random_pair(rng) for _ in range(size)]
         for k, p in enumerate(pairs):
@@ -198,6 +198,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train([], net_cfg, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_one_epoch_in_every_mode(self, mode):
+        # each MODES entry trains from slices carrying every field a mode may
+        # need; only the C2C modes draw splits, one per slice
+        slices = tiny_slices(n=3, with_second=True)
+        cfg = TrainConfig(epochs=1, batch_size=2, base_lr=1e-3, mode=mode, seed=0)
+        params, log, splits = train(slices, NetworkConfig(depth=3, features=2), cfg)
+        assert len(log.losses) == 1 and np.isfinite(log.losses[0])
+        assert all(np.all(np.isfinite(a)) for _, a in params.flat())
+        assert len(splits) == (3 if mode.startswith("C2C") else 0)
+
+    def test_unknown_mode_refused(self):
+        with pytest.raises(ValueError, match="C2C-unnormalized"):
+            TrainConfig(mode="C2C-raw")
+
     def test_validation_logged(self):
         slices = tiny_slices(n=2)
         net_cfg = NetworkConfig(depth=3, features=2)
@@ -253,17 +268,18 @@ class TestEpochPairs:
 
     def test_unit_maps_unless_normalized_c2c(self):
         slices = tiny_slices(n=2, with_second=True)
-        for kw in ({"normalize": False}, {"mode": "N2N"}, {"mode": "N2CL"}):
-            pairs, _ = _epoch_pairs(slices, TrainConfig(epochs=1, **kw), np.random.default_rng(0))
+        for mode in ("C2C-unnormalized", "N2N", "N2CL"):
+            pairs, _ = _epoch_pairs(slices, TrainConfig(epochs=1, mode=mode), np.random.default_rng(0))
             assert np.all(pairs.sens_in == 1.0) and np.all(pairs.sens_label == 1.0)
-        pairs, _ = _epoch_pairs(slices, TrainConfig(epochs=1), np.random.default_rng(0))
-        assert not np.all(pairs.sens_in == 1.0)
+        for mode in ("C2C", "C2C-unwhitened"):
+            pairs, _ = _epoch_pairs(slices, TrainConfig(epochs=1, mode=mode), np.random.default_rng(0))
+            assert not np.all(pairs.sens_in == 1.0)
 
     def test_whitening_off_pairs_are_the_raw_group_k_combination(self):
         # the whitening ablation: label map S_k and label |combination of K|
         # over the input's scale, bit for bit
         slices = tiny_slices(n=3, m=5)
-        pairs, splits = _epoch_pairs(slices, TrainConfig(whiten=False), np.random.default_rng(4))
+        pairs, splits = _epoch_pairs(slices, TrainConfig(mode="C2C-unwhitened"), np.random.default_rng(4))
         for i, (data, split) in enumerate(zip(slices, splits)):
             s = _input_scale(np.abs(coil_combine(data.stack, data.sens, split.group_j)), data.mask)
             raw = np.abs(coil_combine(data.stack, data.sens, split.group_k))
