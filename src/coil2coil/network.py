@@ -6,20 +6,18 @@ the network input to the final conv output.  Single image channel in and
 out.  It computes in the dtype of its parameters: float32 from init_network
 and checkpoints, float64 in gradient_check's finite-difference comparison.
 
-Activations are channels-first, (C, N, H, W), so bias, batch norm and their
-gradients work on one contiguous row per channel.  A conv reads and writes
-zero-padded flat buffers (_buffer): im2col + GEMM over 256 KiB patch blocks of
-contiguous runs of the input (_patch_blocks), each GEMM storing into the output
-buffer, whose pads take its junk columns and are zeroed once per layer.  With
-fewer output than input channels (the last conv) the k*k taps' GEMMs over
-shifted runs of the input are summed instead.  Bias and leaky ReLU run on whole
-buffer rows, and eval mode reuses two buffers across the layers.  Train mode
-caches each conv's input buffer; backward cuts each layer's output gradient
-into patch blocks once and takes both gradients from every block
-(_conv_grads).  Leaky ReLU and its backward work in place, bit-identical to
-their out-of-place formulas.  Eval mode folds batch norm into its conv's kernel
-and a bias.  Only the first and the last conv carry a bias: a bias feeding
-batch norm is cancelled by its mean subtraction.
+Activations and their gradients share one layout: channels-first (C, N, H, W)
+images in zero-padded flat buffers (_buffer) whose pads and tail let a conv
+read contiguous runs.  A conv is a GEMM per 256 KiB im2col block
+(_patch_blocks) storing into the output buffer, whose pads take the junk
+columns, or, with fewer outputs than inputs (the last conv), a sum of the k*k
+taps' GEMMs.  Each layer ends alike in train and eval: bias or batch norm,
+leaky ReLU on whole rows, _zero_pads.  Backward mirrors it, and _conv_grads
+takes dw and dx from one pass over the gradient's patch blocks, dx stored by
+forward's GEMM.  Train mode caches each conv's input buffer; eval mode reuses
+two buffers and folds batch norm into its conv's kernel and a bias.  Only the
+first and the last conv carry a bias: a bias feeding batch norm is cancelled
+by its mean subtraction.
 """
 
 from __future__ import annotations
@@ -183,19 +181,19 @@ def _zero_pads(padded, k):
 
 
 def _patch_blocks(padded, k):
-    """Yield (index, at, patches) over blocks of rows of each image x in a
-    _buffer pair: x[:, b, rows] is the block at index (b, rows), patches its
-    (k*k*C, rows*Wp) im2col matrix in a kernel's (C, k, k) row order, k - 1 junk
-    columns ending each row, and at the buffer column of its first tap.  Blocks
+    """Yield (run, patches) over blocks of rows of each image in a _buffer
+    pair: patches is a block's (k*k*C, rows*Wp) im2col matrix in a kernel's
+    (C, k, k) row order, k - 1 junk columns ending each row, and run the
+    block's buffer columns from its first voxel, one per patch column.  Blocks
     of an image differ by at most one row; each fits _BLOCK_ELEMS if a row does."""
     flat, (c, n, h, wd) = padded[0], padded[1].shape
     hp, wp, s = h + k - 1, wd + k - 1, flat.strides[1]
+    first = (k - 1) // 2 * (wp + 1)  # a voxel's column from its window's first tap
     win = as_strided(flat, (c, k, k, n * hp * wp), (flat.strides[0], wp * s, s, s), writeable=False)
     blocks = math.ceil(h / max(1, _BLOCK_ELEMS // (wp * k * k * c)))
     for b, r in np.ndindex(n, blocks):
-        top, end = r * h // blocks, (r + 1) * h // blocks
-        at = (b * hp + top) * wp
-        yield (b, slice(top, end)), at, win[..., at : (b * hp + end) * wp].reshape(k * k * c, -1)
+        at, end = (b * hp + r * h // blocks) * wp, (b * hp + (r + 1) * h // blocks) * wp
+        yield slice(at + first, end + first), win[..., at:end].reshape(k * k * c, -1)
 
 
 def _conv(padded, w, out=None):
@@ -208,8 +206,8 @@ def _conv(padded, w, out=None):
     f, c, k, _ = w.shape
     flat, (_, n, h, wd) = padded[0], padded[1].shape
     out = _buffer(f, (n, h, wd), k, flat.dtype) if out is None else out
-    wp, first = wd + k - 1, (k - 1) // 2 * (wd + k)  # a voxel's column from its window's first tap
     if f < c:  # F rows per tap instead of a k*k*C-row im2col
+        wp, first = wd + k - 1, (k - 1) // 2 * (wd + k)  # a voxel's column from its window's first tap
         taps, size, step = w.transpose(2, 3, 0, 1).copy(), n * (h + k - 1) * wp, max(1, _BLOCK_ELEMS // c)
         for at in range(0, size, step):
             run = out[0][:, first + at : first + min(at + step, size)]
@@ -218,26 +216,25 @@ def _conv(padded, w, out=None):
                 run += taps[u, v] @ flat[:, at + u * wp + v : at + u * wp + v + run.shape[1]]
         return out
     wmat = w.reshape(f, -1)
-    for _, at, patches in _patch_blocks(padded, k):
-        np.matmul(wmat, patches, out=out[0][:, at + first : at + first + patches.shape[1]])
+    for run, patches in _patch_blocks(padded, k):
+        np.matmul(wmat, patches, out=out[0][:, run])
     return out
 
 
 def _conv_grads(dy, x, w, input_grad):
-    """(dw, dx) of y = _conv(x, w) from one pass over dy's patch blocks: dx =
-    _conv of dy with w flipped and transposed (None unless input_grad), and
-    dw^T the sum of patches @ run^T, run the (C, rows*Wp) columns of x's buffer
-    from the block's first voxel, whose pad zeros meet the patches' junk
-    columns.  Row (f, u, v) of dw^T is dw[f, :, k-1-u, k-1-v]."""
+    """(dw, dx) of y = _conv(x, w) from one pass over the patch blocks of dy, a
+    _buffer pair.  dx, a fresh pair (None unless input_grad), is _conv of dy
+    with w flipped and transposed, stored by the same GEMM; dw^T sums patches @
+    x[:, run]^T over the blocks, the pad zeros of x's buffer meeting the patches'
+    junk columns.  Row (f, u, v) of dw^T is dw[f, :, k-1-u, k-1-v]."""
     f, c, k, _ = w.shape
-    wd, first = dy.shape[3], (k - 1) // 2 * (dy.shape[3] + k)  # a block's first voxel from its first tap
     wmat = w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1].reshape(c, -1)
-    dx, dwt = np.empty((c, *dy.shape[1:]), dy.dtype) if input_grad else None, 0
-    for (b, rows), at, patches in _patch_blocks(_pad(dy, k), k):
-        dwt += patches @ x[0][:, at + first : at + first + patches.shape[1]].T
+    dx, dwt = _buffer(c, dy[1].shape[1:], k, dy[0].dtype) if input_grad else None, 0
+    for run, patches in _patch_blocks(dy, k):
+        dwt += patches @ x[0][:, run].T
         if input_grad:
-            dx[:, b, rows] = (wmat @ patches).reshape(c, -1, wd + k - 1)[..., :wd]
-    return dwt.reshape(f, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2), dx
+            np.matmul(wmat, patches, out=dx[0][:, run])
+    return dwt.reshape(f, k, k, c)[:, ::-1, ::-1].transpose(0, 3, 1, 2), _zero_pads(dx, k) if input_grad else None
 
 
 def _leaky_forward(x):
@@ -260,29 +257,32 @@ def _channel_sum(x):
     return x.reshape(len(x), -1) @ np.ones(x[0].size, x.dtype)
 
 
-def _bn_forward_train(x, scale, shift):
-    axes = (1, 2, 3)  # a channel's contiguous row
-    mean = x.mean(axis=axes, keepdims=True)
-    xhat = x - mean
+def _bn_forward_train(y, scale, shift):
+    """In place on y, a _buffer's (C, N, H, W) view: xhat, y normalized as a
+    contiguous copy, then scale*xhat + shift written back into y.  Returns
+    _bn_backward's cache (xhat, scale*inv_std), the batch mean and variance."""
+    axes, xhat = (1, 2, 3), y.copy()  # a channel's contiguous row
+    mean = xhat.mean(axis=axes, keepdims=True)
+    xhat -= mean
     var = (xhat * xhat).mean(axis=axes, keepdims=True)  # biased; the same sums as x.var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
-    y = xhat * scale[:, None, None, None]
+    np.multiply(xhat, scale[:, None, None, None], out=y)
     y += shift[:, None, None, None]
-    return y, (xhat, scale[:, None, None, None] * inv_std), mean.ravel(), var.ravel()
+    return (xhat, scale[:, None, None, None] * inv_std), mean.ravel(), var.ravel()
 
 
 def _bn_backward(dy, cache):
-    """In place on dy: dx = a*dy - (a*dscale/n)*xhat - a*dshift/n with
-    a = scale*inv_std, three passes over the activation."""
+    """In place on dy, a _buffer's view: dx = a*dy - (a*dscale/n)*xhat - a*dshift/n with
+    a = scale*inv_std, three passes over a contiguous copy of dy, the last into dy.  Returns (dscale, dshift)."""
     xhat, a = cache
-    c, n = len(dy), dy[0].size
-    dshift = _channel_sum(dy)
-    dscale = (dy.reshape(c, 1, n) @ xhat.reshape(c, n, 1)).ravel()  # one dot product per channel
-    dy *= a
-    dy -= (a * dscale.reshape(a.shape) / n) * xhat
-    dy -= a * dshift.reshape(a.shape) / n
-    return dy, dscale, dshift
+    g, c, n = dy.copy(), len(dy), dy[0].size
+    dshift = _channel_sum(g)
+    dscale = (g.reshape(c, 1, n) @ xhat.reshape(c, n, 1)).ravel()  # one dot product per channel
+    g *= a
+    g -= (a * dscale.reshape(a.shape) / n) * xhat
+    np.subtract(g, a * dshift.reshape(a.shape) / n, out=dy)
+    return dscale, dshift
 
 
 def forward(params, batch, train=False):
@@ -312,15 +312,14 @@ def forward(params, batch, train=False):
         y = _conv(x, w, spare if spare is not None and len(spare[0]) == len(w) else None)
         if i == last:
             break
-        if train and i > 0:  # batch norm on a contiguous copy; y is scratch for the next conv
-            h, bn_cache, mean, var = _bn_forward_train(y[1].copy(), params.bn_scale[j], params.bn_shift[j])
+        if train and i > 0:
+            bn_cache, mean, var = _bn_forward_train(y[1], params.bn_scale[j], params.bn_shift[j])
             cache["bn"].append(bn_cache)
             params.bn_mean[j] = BN_MOMENTUM * params.bn_mean[j] + (1 - BN_MOMENTUM) * mean
             params.bn_var[j] = BN_MOMENTUM * params.bn_var[j] + (1 - BN_MOMENTUM) * var
-            x, spare = _pad(_leaky_forward(h), k), y
-            continue
-        bias = (params.biases[0] if i == 0 else folded)[:, None]  # on whole rows, pads included
-        _leaky_forward(np.add(y[0], bias, out=y[0]))
+        else:  # on whole rows, pads included
+            np.add(y[0], (params.biases[0] if i == 0 else folded)[:, None], out=y[0])
+        _leaky_forward(y[0])
         x, spare = _zero_pads(y, k), (None if train else x)
     out = y[1][0] + params.biases[1]
     out += batch
@@ -338,15 +337,16 @@ def backward(params, cache, output_grads):
     dy = np.asarray(output_grads, dtype=params.weights[0].dtype)[None]
     if dy.shape[1:] != cache["input_shape"]:
         raise ValueError("output gradient shape does not match cached batch")
-    last = len(params.weights) - 1
+    k, last = params.config.kernel_size, len(params.weights) - 1
     grads = {f"conv{last}.bias": _channel_sum(dy)}
+    dy = _pad(dy, k)
     for i in range(last, -1, -1):
-        if i < last:  # the activation's output is the next conv's cached input
-            dy = _leaky_backward(dy, cache["inputs"][i + 1][1])
+        if i < last:  # on whole rows: the next conv's cached input is the activation's output
+            _leaky_backward(dy[0], cache["inputs"][i + 1][0])
             if i == 0:
-                grads["conv0.bias"] = _channel_sum(dy)
+                grads["conv0.bias"] = _channel_sum(dy[1])
             else:
-                dy, grads[f"bn{i - 1}.scale"], grads[f"bn{i - 1}.shift"] = _bn_backward(dy, cache["bn"][i - 1])
+                grads[f"bn{i - 1}.scale"], grads[f"bn{i - 1}.shift"] = _bn_backward(dy[1], cache["bn"][i - 1])
         grads[f"conv{i}.weight"], dy = _conv_grads(dy, cache["inputs"][i], params.weights[i], i > 0)
     return grads
 

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import network as net
-from .imaging import check_mask, check_stack, coil_combine, effective_sensitivity
+from .imaging import check_mask, check_stack, coil_combine
 from .metrics import psnr
 from .pairs import SENS_FLOOR, TrainingPair, check_slice, combine_all, pair_from_checked, split_channels
 from .pairs import make_training_pair  # noqa: F401  unused here; perfbench's tests wrap this binding
@@ -247,22 +247,20 @@ def denoise_two_group_average(params, stack, sens, rng, mask=None):
         raise ValueError("two-group inference needs at least 2 channels")
     if mask is not None:
         mask = check_mask(mask, stack.shape[1:])
-    s_full = effective_sensitivity(sens_arr, range(m))
+    power = np.abs(sens_arr) ** 2  # a group's effective sensitivity sums its (sorted) rows
+    s_full = power.sum(axis=0)
     region = mask if mask is not None else s_full >= SENS_FLOOR * s_full.max()
 
     split, best = None, -np.inf
     for _ in range(SPLIT_CANDIDATES):
         cand = split_channels(m, rng)
-        score = min(
-            float(effective_sensitivity(sens_arr, cand.group_j)[region].min()),
-            float(effective_sensitivity(sens_arr, cand.group_k)[region].min()),
-        )
+        score = min(float(power[list(g)].sum(axis=0)[region].min()) for g in (cand.group_j, cand.group_k))
         if score > best:
             split, best = cand, score
     outs = []
     for group in (split.group_j, split.group_k):
         img = np.abs(coil_combine(stack, sens_arr, group))
-        s_g = effective_sensitivity(sens_arr, group)
+        s_g = power[list(group)].sum(axis=0)
         floor = SENS_EPS * s_g.max() if s_g.max() > 0 else 1.0
         ratio = s_full / np.maximum(s_g, floor)
         outs.append(denoise_image(params, img, mask) * ratio)

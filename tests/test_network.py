@@ -13,6 +13,7 @@ from coil2coil.network import (
     NetworkConfig,
     _bn_backward,
     _bn_forward_train,
+    _buffer,
     _conv,
     _conv_grads,
     _leaky_backward,
@@ -122,16 +123,28 @@ def test_patch_blocks_partition_the_rows(n, h, w, c, k, block_elems):
     heights = {b: [] for b in range(n)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(network, "_BLOCK_ELEMS", block_elems)
-        for (b, rows), at, patches in _patch_blocks(_pad(np.zeros((c, n, h, w)), k), k):
-            assert at == (b * (h + k - 1) + rows.start) * wp  # the buffer column of the block's first tap
-            seen[b, rows] += 1
-            heights[b].append(rows.stop - rows.start)
-            assert patches.shape == (k * k * c, heights[b][-1] * wp)
+        for run, patches in _patch_blocks(_pad(np.zeros((c, n, h, w)), k), k):
+            at = run.start - (k - 1) // 2 * (wp + 1)  # the buffer column of the block's first tap
+            b, top = divmod(at // wp, h + k - 1)
+            rows = patches.shape[1] // wp
+            assert at % wp == 0 and patches.shape == (k * k * c, rows * wp) and run.stop - run.start == rows * wp
+            assert rows >= 1 and top + rows <= h
+            seen[b, top : top + rows] += 1
+            heights[b].append(rows)
             assert patches.size <= max(block_elems, row)
     assert np.all(seen == 1)
     for hs in heights.values():
         assert max(hs) - min(hs) <= 1
         assert len(hs) == -(-h // max(1, block_elems // row))  # the fewest that fit
+
+
+def _outside(padded, k):
+    """The entries of a _buffer pair's flat buffer outside its images: the
+    pads and the tail."""
+    flat, view = padded
+    inside = _buffer(len(view), view.shape[1:], k, bool)
+    inside[1][...] = True
+    return flat[~inside[0]]
 
 
 def _windows(padded, k):
@@ -154,7 +167,9 @@ def _windows(padded, k):
 def test_conv_grads_match_an_einsum_oracle(n, h, w, c, f, k, rows, input_grad, seed):
     # both gradients of y = _conv(x, w) from dy's patch blocks, in blocks of
     # at most `rows` image rows (uneven when rows does not divide h); without
-    # input_grad, as for the first layer, there is no dx
+    # input_grad, as for the first layer, there is no dx.  dy comes and dx
+    # goes in zero-padded buffers, and dx's pads, which took the GEMM's junk
+    # columns, are zeroed again
     assume(c != f and h != w)
     rng = np.random.default_rng(seed)
     x, dy = rng.standard_normal((c, n, h, w)), rng.standard_normal((f, n, h, w))
@@ -163,7 +178,7 @@ def test_conv_grads_match_an_einsum_oracle(n, h, w, c, f, k, rows, input_grad, s
     pad = ((0, 0), (0, 0), (p, p), (p, p))
     with pytest.MonkeyPatch.context() as mp:  # a patch row of dy spans w + k - 1 columns
         mp.setattr(network, "_BLOCK_ELEMS", rows * (w + k - 1) * k * k * f)
-        dw, dx = _conv_grads(dy, _pad(x, k), kernel, input_grad)
+        dw, dx = _conv_grads(_pad(dy, k), _pad(x, k), kernel, input_grad)
     want_dw = np.einsum("fbij,cbijuv->fcuv", dy, _windows(np.pad(x, pad), k))
     assert dw.shape == kernel.shape
     assert np.allclose(dw, want_dw, rtol=1e-12, atol=1e-12)
@@ -172,7 +187,8 @@ def test_conv_grads_match_an_einsum_oracle(n, h, w, c, f, k, rows, input_grad, s
         return
     # dx[c, b, i, j] = sum over f, u, v of dy[f, b, i - u + p, j - v + p] * w[f, c, u, v]
     want_dx = np.einsum("fbijuv,fcuv->cbij", _windows(np.pad(dy, pad), k)[..., ::-1, ::-1], kernel)
-    assert np.allclose(dx, want_dx, rtol=1e-12, atol=1e-12)
+    assert np.allclose(dx[1], want_dx, rtol=1e-12, atol=1e-12)
+    assert not _outside(dx, k).any()
 
 
 @settings(max_examples=100, deadline=None)
@@ -233,11 +249,7 @@ class TestForward:
         assert len(cache["inputs"]) == len(params.weights)
         for flat, view in cache["inputs"]:
             assert view.shape[1:] == x.shape and np.shares_memory(flat, view)
-            outside = flat.copy()
-            outside[:, : view.shape[1] * (7 + k - 1) * (5 + k - 1)].reshape(-1, 2, 7 + k - 1, 5 + k - 1)[
-                :, :, (k - 1) // 2 : (k - 1) // 2 + 7, (k - 1) // 2 : (k - 1) // 2 + 5
-            ] = 0
-            assert not outside.any()
+            assert not _outside((flat, view), k).any()
             assert np.count_nonzero(view) == view.size  # random activations: no exact zeros inside
 
     def test_zero_final_conv_is_identity(self):
@@ -350,6 +362,27 @@ class TestForward:
             assert np.array_equal(out.view(np.uint32), alone.view(np.uint32)), depth
             want = _four_pass_eval(params.astype(np.float64), batch)
             assert np.linalg.norm(out - want) <= FLOAT32_RTOL * np.linalg.norm(want), depth
+
+    def test_train_forward_peak_memory(self):
+        # above the buffers its cache holds, a train forward at the training
+        # shape holds at most one zero-padded activation (N*H*W*F float32) at
+        # once -- leaky ReLU's slope product on whole buffer rows, more than
+        # batch norm's squared deviations or a conv's two patch blocks (the
+        # one in the GEMM and the next) -- plus the float32 input and output
+        cfg = NetworkConfig()
+        n, h, w, f = 8, 32, 32, cfg.features
+        params = init_network(cfg, np.random.default_rng(28))
+        x = np.random.default_rng(29).standard_normal((n, h, w))
+        tracemalloc.start()
+        try:
+            _, cache = forward(params, x, train=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(flat.nbytes for flat, _ in cache["inputs"]) + sum(a.nbytes for c in cache["bn"] for a in c)
+        act = n * h * w * f * 4
+        padded = (h + 2) * (w + 2) / (h * w)
+        assert peak - held <= padded * act + 2 * n * h * w * 4
 
     def test_train_mode_updates_running_stats(self):
         params = init_network(tiny_config(), np.random.default_rng(12))
@@ -464,11 +497,15 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("shape", [(3, 2, 8, 8), (16, 4, 48, 40)])
     def test_bn_train_statistics_match_mean_and_var(self, shape):
+        # on a buffer's strided view, as in forward; with unit scale and zero
+        # shift it writes back xhat itself
         x = 3.0 * np.random.default_rng(21).standard_normal(shape) + 1.0
         c = shape[0]
-        _, _, mean, var = _bn_forward_train(x, np.ones(c), np.zeros(c))
+        y = _pad(x, 3)
+        (xhat, _), mean, var = _bn_forward_train(y[1], np.ones(c), np.zeros(c))
         assert np.array_equal(_bits(mean), _bits(x.mean(axis=(1, 2, 3))))
         assert np.array_equal(_bits(var), _bits(x.var(axis=(1, 2, 3))))
+        assert np.array_equal(_bits(y[1]), _bits(xhat)) and not _outside(y, 3).any()
 
 
 def _bn_backward_four_pass(dy, xhat, inv_std, scale):
@@ -492,12 +529,14 @@ class TestBackward:
         x = 2.0 * rng.standard_normal((4, 3, 6, 5)) + 0.5
         dy = rng.standard_normal(x.shape)
         scale, shift = rng.uniform(0.5, 1.5, 4), rng.standard_normal(4)
-        _, (xhat, _), _, var = _bn_forward_train(x, scale, shift)
+        (xhat, _), _, var = _bn_forward_train(x.copy(), scale, shift)
         column = (4, 1, 1, 1)
         dx = _bn_backward_four_pass(dy, xhat, 1.0 / np.sqrt(var + network.BN_EPS).reshape(column), scale.reshape(column))
         want = dx, (dy * xhat).sum(axis=(1, 2, 3)), dy.sum(axis=(1, 2, 3))
-        _, cache, _, _ = _bn_forward_train(x.astype(dtype), scale.astype(dtype), shift.astype(dtype))
-        got = _bn_backward(dy.astype(dtype), cache)
+        cache, _, _ = _bn_forward_train(x.astype(dtype), scale.astype(dtype), shift.astype(dtype))
+        padded = _pad(dy.astype(dtype), 3)  # dx is written back into the buffer's view
+        got = padded[1], *_bn_backward(padded[1], cache)
+        assert not _outside(padded, 3).any()
         for name, a, b in zip(("dx", "dscale", "dshift"), got, want):
             assert a.dtype == dtype, name
             if dtype == np.float64:
@@ -507,8 +546,9 @@ class TestBackward:
 
     def test_train_backward_peak_memory(self):
         # at the training shape backward holds at most three activations
-        # (N*H*W*F float32) at once -- the gradient, its zero-padded copy and
-        # the next conv's output -- plus two patch blocks (the one in the GEMM
+        # (N*H*W*F float32) at once -- the zero-padded gradient and either
+        # the next zero-padded gradient or batch norm's contiguous copy and
+        # its product with xhat -- plus two patch blocks (the one in the GEMM
         # and the next) and one gradient per parameter
         cfg = NetworkConfig()
         n, h, w, f = 8, 32, 32, cfg.features
@@ -525,6 +565,23 @@ class TestBackward:
         act = n * h * w * f * 4
         padded = (h + 2) * (w + 2) / (h * w)
         assert peak <= (2 + padded) * act + 4 * (2 * network._BLOCK_ELEMS + cfg.state_size())
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_backward_leaves_the_cache_as_it_was(self, k):
+        # backward writes in place only into gradient buffers of its own: a
+        # second call on the same cache gives the same bits, and the cached
+        # buffers and the caller's output gradient keep theirs
+        params = init_network(NetworkConfig(depth=4, features=3, kernel_size=k), np.random.default_rng(34))
+        rng = np.random.default_rng(35)
+        out, cache = forward(params, rng.standard_normal((2, 7, 5)), train=True)
+        cached = [flat for flat, _ in cache["inputs"]] + [a for c in cache["bn"] for a in c]
+        before = [a.tobytes() for a in cached]
+        dy = rng.standard_normal(out.shape).astype(np.float32)  # read in place, not converted
+        kept = dy.tobytes()
+        first, second = backward(params, cache, dy), backward(params, cache, dy)
+        assert all(first[name].tobytes() == second[name].tobytes() for name in first)
+        assert [a.tobytes() for a in cached] == before
+        assert dy.tobytes() == kept
 
     def test_gradient_check(self):
         err = gradient_check(rng=np.random.default_rng(0))
