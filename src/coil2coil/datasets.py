@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ class SliceData:
     """One training slice: acquisition plus everything needed per mode."""
 
     stack: np.ndarray  # (m, H, W) complex
-    sens: np.ndarray
+    sens: np.ndarray  # read-only, shared by the slices of one coil geometry: copy it before writing
     psi: np.ndarray
     mask: np.ndarray
     clean: np.ndarray = None  # clean combined magnitude (N2CL, validation)
@@ -34,11 +35,20 @@ class SliceData:
     phantom: np.ndarray = None  # underlying complex image, when known
 
 
+@functools.lru_cache(maxsize=1)
+def _ring_sensitivities(channels, shape):
+    """CoilSpec.ring(channels)'s sensitivities on an (H, W) grid, read-only: they
+    belong to the array, so every slice of that geometry shares this one."""
+    sens = make_sensitivities(CoilSpec.ring(channels), shape)
+    sens.flags.writeable = False
+    return sens
+
+
 def simulate_slice(cfg, rng, with_second=False):
     """One synthetic acquisition as a SliceData (clean image included)."""
     phantom = make_phantom(random_phantom_spec(cfg["phantom"]["grid_size"], rng))
     mask = make_mask(phantom)
-    sens = make_sensitivities(CoilSpec.ring(cfg["coils"]["channels"]), phantom.shape)
+    sens = _ring_sensitivities(cfg["coils"]["channels"], phantom.shape)
     psi = make_noise_covariance(sens, phantom, mask, NoiseSpec(**cfg["noise"]), rng)
     stack = synthesize_acquisition(phantom, sens, psi, rng)
     clean_stack = sens * phantom[None]

@@ -238,9 +238,11 @@ def _conv_grads(dy, x, w, input_grad):
 
 
 def _leaky_forward(x):
-    """In place on x.  With 0 < LEAKY_SLOPE < 1, max(x, LEAKY_SLOPE*x) is x
-    for x >= 0 (-0.0 included) and LEAKY_SLOPE*x below, bit for bit."""
-    return np.maximum(x, LEAKY_SLOPE * x, out=x)
+    """In place on x, a row at a time, so the only temporary is one row's LEAKY_SLOPE*row.  As
+    0 < LEAKY_SLOPE < 1, max(x, LEAKY_SLOPE*x) is x for x >= 0 (-0.0 too), else LEAKY_SLOPE*x, bit for bit."""
+    for row in x:
+        np.maximum(row, LEAKY_SLOPE * row, out=row)
+    return x
 
 
 def _leaky_backward(dy, x):

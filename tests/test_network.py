@@ -314,17 +314,23 @@ class TestForward:
         assert all(np.array_equal(x, y) for x, (_, y) in zip(before, params.state()))
 
     def test_eval_forward_peak_memory(self):
-        # one 192x192 eval forward holds at most four activations
-        # (192*192*16 float64) at once
-        params = init_network(NetworkConfig(), np.random.default_rng(17))
-        x = np.random.default_rng(18).standard_normal((1, 192, 192))
+        # one 192x192 eval forward holds at most the buffers it reuses -- two
+        # zero-padded 16-channel buffers and the input's (or the output
+        # conv's) one-channel buffer -- plus two patch blocks (the one in the
+        # GEMM and the next), one channel row's leaky-ReLU slope product, and
+        # the float32 input and output
+        cfg = NetworkConfig()
+        h = w = 192
+        params = init_network(cfg, np.random.default_rng(17))
+        x = np.random.default_rng(18).standard_normal((1, h, w))
         tracemalloc.start()
         try:
             forward(params, x, train=False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 192 * 192 * 16 * 8
+        row = ((h + 2) * (w + 2) + 2 * (w + 3)) * 4  # one channel of a padded buffer, tail included
+        assert peak <= (2 * cfg.features + 2) * row + 2 * network._BLOCK_ELEMS * 4 + 2 * h * w * 4
 
     def test_eval_batch_norm_matches_the_four_pass_formula(self):
         # float64 parameters with running statistics, scale and shift away
