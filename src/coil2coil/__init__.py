@@ -7,11 +7,6 @@ convolutional denoiser on the pairs, and denoise channel-combined images
 at inference time.
 """
 
-from .imaging import (
-    coil_combine,
-    effective_sensitivity,
-    propagate_noise_stats,
-)
 from .network import NetworkConfig, gradient_check, init_network
 from .pairs import (
     ChannelSplit,

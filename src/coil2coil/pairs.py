@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 DET_EPS = 1e-9  # relative determinant below which whitening falls back
-SENS_FLOOR = 1e-3  # fraction of the peak sensitivity counted as coverage
+SENS_FLOOR = 1e-3  # fraction of a group's peak gain: coverage starts here, and two-group inference floors the gain here
 MC_BUDGET = 2**20  # real normals (8 MiB) the Monte-Carlo check draws at once
 
 
@@ -131,9 +131,14 @@ def make_training_pair(stack, sens, psi, split, mask, whiten=True):
     check_slice first, so a bad psi is refused either way.
     """
     stack, sens, psi, mask = check_slice(stack, sens, psi, mask)
-    if len(split.group_j) + len(split.group_k) != len(stack):
-        raise ValueError("split does not match channel count")
+    _check_split(split, len(stack))
     return pair_from_checked(stack, sens, psi, split, mask, whiten)
+
+
+def _check_split(split, m):
+    n = len(split.group_j) + len(split.group_k)  # a ChannelSplit covers channels 0..n-1
+    if n != m:
+        raise ValueError(f"split does not match channel count: {n} split, {m} in the slice")
 
 
 def check_slice(stack, sens, psi, mask):
@@ -207,6 +212,9 @@ def empirical_noise_correlations(phantom, sens, psi, split, mask, n_real, rng):
     sens = np.asarray(sens)
     gj, gk = split.group_j, split.group_k
     grams = noise_grams(sens, psi, gj, gk)  # validates sens and psi, once
+    _check_split(split, len(sens))
+    if np.shape(phantom) != sens.shape[1:]:
+        raise ValueError(f"phantom shape {np.shape(phantom)} != image shape {sens.shape[1:]}")
     alpha, beta, _ = whitening_coefficients(*magnitude_noise_stats(*grams))
     inside = np.flatnonzero(check_mask(mask, sens.shape[1:]))
     g_jj, g_kk, g_jk, alpha, beta = (x.ravel()[inside] for x in (*grams, alpha, beta))

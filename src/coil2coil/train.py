@@ -10,6 +10,9 @@ Five supervision modes, one MODES entry each:
 The C2C loss weights prediction and label by the pair's sensitivity maps
 so both sides share one noise-free image; N2N, N2CL and C2C-unnormalized
 pairs carry unit maps, so it is their masked MSE.
+
+Inference (denoise) denoises the full matched-filter combination; the
+two-group variant runs denoise on each half of a split and needs the mask.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import network as net
-from .imaging import check_mask, check_stack, coil_combine
+from .imaging import check_mask, check_stack
 from .metrics import psnr
 from .pairs import SENS_FLOOR, TrainingPair, check_slice, combine_all, pair_from_checked, split_channels
 from .pairs import make_training_pair  # noqa: F401  unused here; perfbench's tests wrap this binding
@@ -37,7 +40,6 @@ __all__ = [
     "denoise_two_group_average",
 ]
 
-SENS_EPS = 1e-12  # floor of a group's sensitivity, relative to its peak
 SPLIT_CANDIDATES = 8  # random splits scored by two-group inference
 
 
@@ -231,37 +233,27 @@ def denoise(params, stack, sens, mask=None):
     return denoise_image(params, combine_all(stack, sens), mask)
 
 
-def denoise_two_group_average(params, stack, sens, rng, mask=None):
-    """Two-group inference variant: denoise the two half-combinations
-    separately, rescale each output to the full-combination sensitivity,
-    and average.
+def denoise_two_group_average(params, stack, sens, rng, mask):
+    """Two-group inference variant: denoise each half of a channel split with
+    denoise, rescale each output to the full combination's gain, and average.
 
-    Both groups must cover the imaging volume for the sensitivity ratio to
-    be well behaved, so among SPLIT_CANDIDATES random balanced splits the
-    one with the best worst-case coverage is used.
+    Of SPLIT_CANDIDATES random balanced splits, the first whose weaker group
+    has the largest minimum gain inside the mask is used, so both groups
+    cover it; for the rescaling a group's gain is floored at SENS_FLOOR of
+    its peak.
     """
     stack = check_stack(stack, sens)
-    sens_arr = np.asarray(sens)
-    m = stack.shape[0]
-    if m < 2:
+    if len(stack) < 2:
         raise ValueError("two-group inference needs at least 2 channels")
-    if mask is not None:
-        mask = check_mask(mask, stack.shape[1:])
-    power = np.abs(sens_arr) ** 2  # a group's effective sensitivity sums its (sorted) rows
+    mask = check_mask(mask, stack.shape[1:])
+    sens = np.asarray(sens)
+    power = np.abs(sens) ** 2  # a group's gain sums its rows
     s_full = power.sum(axis=0)
-    region = mask if mask is not None else s_full >= SENS_FLOOR * s_full.max()
-
-    split, best = None, -np.inf
-    for _ in range(SPLIT_CANDIDATES):
-        cand = split_channels(m, rng)
-        score = min(float(power[list(g)].sum(axis=0)[region].min()) for g in (cand.group_j, cand.group_k))
-        if score > best:
-            split, best = cand, score
+    cands = [split_channels(len(stack), rng) for _ in range(SPLIT_CANDIDATES)]  # max keeps the first best
+    split = max(cands, key=lambda c: min(power[list(g)].sum(axis=0)[mask].min() for g in (c.group_j, c.group_k)))
     outs = []
-    for group in (split.group_j, split.group_k):
-        img = np.abs(coil_combine(stack, sens_arr, group))
-        s_g = power[list(group)].sum(axis=0)
-        floor = SENS_EPS * s_g.max() if s_g.max() > 0 else 1.0
-        ratio = s_full / np.maximum(s_g, floor)
-        outs.append(denoise_image(params, img, mask) * ratio)
+    for group in (list(split.group_j), list(split.group_k)):
+        s_g = power[group].sum(axis=0)
+        floor = SENS_FLOOR * s_g.max() if s_g.max() > 0 else 1.0
+        outs.append(denoise(params, stack[group], sens[group], mask) * (s_full / np.maximum(s_g, floor)))
     return 0.5 * (outs[0] + outs[1])

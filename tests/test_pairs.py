@@ -484,6 +484,22 @@ class TestEmpiricalNoiseCorrelation:
                 n_real, np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("check", [empirical_noise_correlations, empirical_noise_correlation])
+    @pytest.mark.parametrize(
+        "bad, match",
+        [("split", "split does not match channel count: 4 split, 8 in the slice"),
+         ("phantom", r"phantom shape \(16, 15\) != image shape \(16, 16\)")],
+        ids=["half-split", "phantom-shape"],
+    )
+    def test_mismatched_inputs_refused(self, check, bad, match):
+        # as make_training_pair refuses a split of fewer channels than the
+        # slice has, and a phantom must cover the image grid
+        scene = SyntheticScene(m=8)
+        split = ChannelSplit((0, 1), (2, 3)) if bad == "split" else scene.split
+        phantom = scene.phantom[:, :-1] if bad == "phantom" else scene.phantom
+        with pytest.raises(ValueError, match=match):
+            check(phantom, scene.sens, scene.psi, split, scene.mask, 100, np.random.default_rng(0))
+
     def test_one_pass_equals_separate_calls(self):
         # one set of draws for both labels gives each call's figure bit for
         # bit; the realizations span three chunks

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +33,8 @@ from coil2coil.train import (
     train,
     validate,
 )
+
+train_mod = importlib.import_module("coil2coil.train")  # the package's `train` is the function
 
 
 def random_pair(rng, shape=(6, 6)):
@@ -346,8 +349,42 @@ class TestInference:
         with pytest.raises(ValueError):
             denoise_two_group_average(
                 params, np.ones((1, 8, 8), complex), np.ones((1, 8, 8), complex),
-                np.random.default_rng(0),
+                np.random.default_rng(0), np.ones((8, 8), bool),
             )
+
+    @pytest.mark.parametrize("m, seed", [(3, 3), (4, 7), (8, 16)])
+    def test_two_group_denoises_the_best_scored_split(self, m, seed, monkeypatch):
+        # denoise runs once on each group of the split chosen from the rng's
+        # SPLIT_CANDIDATES draws: the first whose weaker group has the largest
+        # minimum gain inside the mask, groups in (j, k) order.  Among these
+        # draws, taking the last best, scoring group j alone, or scoring the
+        # whole grid each picks another split for at least one m
+        rng = np.random.default_rng(m)
+        phantom = make_phantom(random_phantom_spec(16, rng))
+        sens = make_sensitivities(CoilSpec.ring(m), phantom.shape)
+        mask = make_mask(phantom)
+        stack = sens * phantom[None]
+        calls = []
+
+        def recording_denoise(params, stack_g, sens_g, mask_g):
+            calls.append([next(i for i in range(m) if np.array_equal(row, sens[i])) for row in sens_g])
+            assert np.array_equal(stack_g, stack[calls[-1]]) and mask_g is not None
+            return denoise(params, stack_g, sens_g, mask_g)
+
+        monkeypatch.setattr(train_mod, "denoise", recording_denoise)
+        draws = np.random.default_rng(seed)
+        oracle = np.random.default_rng(seed)
+        denoise_two_group_average(identity_params(), stack, sens, draws, mask)
+
+        best, want = -np.inf, None
+        for _ in range(train_mod.SPLIT_CANDIDATES):
+            cand = split_channels(m, oracle)
+            score = min(effective_sensitivity(sens, g)[mask].min() for g in (cand.group_j, cand.group_k))
+            if score > best:
+                best, want = score, cand
+        assert calls == [list(want.group_j), list(want.group_k)]
+        assert sorted(calls[0] + calls[1]) == list(range(m))
+        assert draws.bit_generator.state == oracle.bit_generator.state
 
     @pytest.mark.parametrize(
         "image, mask, match",
