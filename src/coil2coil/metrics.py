@@ -1,12 +1,14 @@
-"""Image quality metrics (masked pSNR and SSIM) and the paired t-test."""
+"""Image quality metrics (masked pSNR and SSIM) and the paired t-test.
+
+SciPy is imported by the first ssim or paired_t_test call, not with this
+module, so importing coil2coil, building pairs and training never load it.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from scipy.ndimage import convolve1d
-from scipy.special import betainc
 
 from .imaging import check_mask
 
@@ -40,6 +42,7 @@ def psnr(test, ref, mask):
 
 def _blur(img, g):
     """Separable Gaussian blur: one 1-D pass per axis, reflect borders."""
+    from scipy.ndimage import convolve1d
     return convolve1d(convolve1d(img, g, axis=0, mode="reflect"), g, axis=1, mode="reflect")
 
 
@@ -100,6 +103,7 @@ def paired_t_test(a, b):
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         raise ValueError("differences have zero variance")
+    from scipy.special import betainc
     t = float(d.mean()) / (sd / math.sqrt(n))
     df = n - 1
     return t, float(betainc(df / 2.0, 0.5, df / (df + t * t)))

@@ -136,25 +136,30 @@ MODES = {
 }
 
 
-def _epoch_pairs(slices, config, rng):
+def _epoch_pairs(slices, config, rng, out=None):
     """One epoch's pairs from the mode's builder, stacked as one TrainingPair
     (arrays (N, H, W), coverages and fallback counts (N,)), and the C2C
-    splits drawn, from slices that passed check_slice.  Each pair's input
-    and label are divided by the input's scale, so the network input has
-    unit masked std and the loss minimizer is unchanged; inference applies
-    the same rule to its own input.
+    splits drawn, from slices that passed train's checks.  Each pair's rows
+    are written into out, the previous epoch's stack refilled in place (fresh,
+    with the first pair's dtypes, when None), and out is returned.  Each
+    pair's input and label are divided by the input's scale, so the network
+    input has unit masked std and the loss minimizer is unchanged; inference
+    applies the same rule to its own input.
     """
-    build, needs = MODES[config.mode]
-    pairs, splits = [], []
-    for data in slices:
-        if needs and getattr(data, needs) is None:
-            raise ValueError(f"{config.mode} mode needs each slice's {needs}")
+    build = MODES[config.mode][0]
+    splits = []
+    for i, data in enumerate(slices):
         p, split = build(data, rng)
         splits.append(split)
+        if out is None:
+            vals = (np.asarray(getattr(p, f.name)) for f in fields(TrainingPair))
+            out = TrainingPair(*(np.empty((len(slices),) + v.shape, v.dtype) for v in vals))
         s = _input_scale(p.image_in, p.mask)
-        pairs.append(replace(p, image_in=p.image_in / s, image_label=p.image_label / s))
-    stacked = (np.stack([getattr(p, f.name) for p in pairs]) for f in fields(TrainingPair))
-    return TrainingPair(*stacked), [split for split in splits if split is not None]
+        np.divide(p.image_in, s, out=out.image_in[i])
+        np.divide(p.image_label, s, out=out.image_label[i])
+        for f in fields(TrainingPair)[2:]:
+            getattr(out, f.name)[i] = getattr(p, f.name)
+    return out, [split for split in splits if split is not None]
 
 
 def train(slices, net_config, config, val_slices=None):
@@ -163,14 +168,17 @@ def train(slices, net_config, config, val_slices=None):
     slices is a sequence of SliceData with identical image shapes.  Every
     network input is scale-normalized to unit masked std (the label is
     scaled with it); validation pSNR is computed in original units.  Each
-    epoch stacks its pairs into (N, H, W) arrays; a step takes a batch of
-    them by index and makes one forward, one c2c_loss over the batch, one
-    backward and one Adam step.
+    epoch refills one stack of (N, H, W) pair arrays in place; a step takes
+    a batch of them by index (a copy) and makes one forward, one c2c_loss
+    over the batch, one backward and one Adam step.
     """
     if not slices:
         raise ValueError("empty training dataset")
+    needs = MODES[config.mode][1]
     checked = []
     for data in slices:  # once here, so the per-epoch pairs check nothing
+        if needs and getattr(data, needs) is None:
+            raise ValueError(f"{config.mode} mode needs each slice's {needs}")
         stack, sens, psi, mask = check_slice(data.stack, data.sens, data.psi, data.mask)
         checked.append(replace(data, stack=stack, sens=sens, psi=psi, mask=mask))
     rng = np.random.default_rng(config.seed)
@@ -179,11 +187,11 @@ def train(slices, net_config, config, val_slices=None):
     log = TrainLog()
     splits_seen = []
 
-    n = len(slices)
+    n, pairs = len(slices), None
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         lr = net.lr_schedule(epoch, config.base_lr)
-        pairs, splits = _epoch_pairs(checked, config, rng)
+        pairs, splits = _epoch_pairs(checked, config, rng, pairs)
         splits_seen.extend(splits)
         order = rng.permutation(n)
         epoch_losses = []

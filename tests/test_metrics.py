@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,3 +213,37 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match="finite"):
             paired_t_test([19.0, 21.0, 20.5], [20.0, 22.0, bad])
 
+
+
+def test_scipy_is_loaded_on_the_first_ssim_and_t_test_call():
+    # a fresh interpreter, as this session has imported scipy.stats already:
+    # importing the package and its CLI loads neither SciPy module, the
+    # first paired_t_test loads scipy.special and the first ssim
+    # scipy.ndimage, and both return the figures pinned above
+    script = textwrap.dedent(
+        """
+        import json, sys
+        import numpy as np
+        import coil2coil, coil2coil.cli
+        from coil2coil.metrics import paired_t_test, ssim
+
+        def loaded():
+            return [name in sys.modules for name in ("scipy.special", "scipy.ndimage")]
+
+        seen = [loaded()]
+        t, p = paired_t_test([1.0, 3.0], [2.0, 2.0])
+        seen.append(loaded())
+        ref = np.full((16, 16), 1.0)
+        s = ssim(ref - 0.2, ref, np.ones((16, 16), bool))
+        seen.append(loaded())
+        print(json.dumps({"seen": seen, "t": t, "p": p, "ssim": s}))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert got["seen"] == [[False, False], [True, False], [True, True]]
+    assert got["t"] == pytest.approx(0.0, abs=1e-15) and got["p"] == pytest.approx(1.0, abs=1e-12)
+    c1 = (SSIM_K1 * 1.0) ** 2
+    assert got["ssim"] == pytest.approx((2 * 0.8 + c1) / (0.8**2 + 1.0 + c1), rel=1e-12)

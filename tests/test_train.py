@@ -1,5 +1,6 @@
 import importlib
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -189,14 +190,16 @@ class TestTrainLoop:
         _, log, _ = train(slices, net_cfg, cfg)
         assert log.losses[-1] < log.losses[0]
 
-    def test_missing_data_per_mode(self):
+    def test_missing_data_per_mode(self, monkeypatch):
+        # refused in train's one-time slice checks, before the network exists
         slices = tiny_slices(n=2)
         for s in slices:
             s.clean = None
+        monkeypatch.setattr("coil2coil.network.init_network", lambda *a: pytest.fail("network built"))
         net_cfg = NetworkConfig(depth=3, features=2)
-        with pytest.raises(ValueError, match="N2N"):
+        with pytest.raises(ValueError, match="N2N mode needs each slice's stack_b"):
             train(slices, net_cfg, TrainConfig(epochs=1, mode="N2N"))
-        with pytest.raises(ValueError, match="N2CL"):
+        with pytest.raises(ValueError, match="N2CL mode needs each slice's clean"):
             train(slices, net_cfg, TrainConfig(epochs=1, mode="N2CL"))
         with pytest.raises(ValueError):
             train([], net_cfg, TrainConfig(epochs=1))
@@ -268,6 +271,38 @@ class TestEpochPairs:
         slices[1].psi = slices[1].psi - 2 * np.eye(4) * np.abs(slices[1].psi).max()  # not PSD
         with pytest.raises(ValueError, match="PSD"):
             train(slices, NetworkConfig(depth=3, features=2), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_refill_equals_a_fresh_stack(self, mode):
+        # out, holding another epoch's pairs, is overwritten row for row with
+        # the bytes a fresh call on the same rng gives, and returned
+        slices = tiny_slices(n=3, m=5, with_second=True)
+        cfg = TrainConfig(mode=mode)
+        out, _ = _epoch_pairs(slices, cfg, np.random.default_rng(1))
+        fresh, fresh_splits = _epoch_pairs(slices, cfg, np.random.default_rng(2))
+        got, splits = _epoch_pairs(slices, cfg, np.random.default_rng(2), out)
+        assert got is out and splits == fresh_splits
+        for f in fields(TrainingPair):
+            a, b = getattr(got, f.name), getattr(fresh, f.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_refill_holds_a_few_pairs_not_the_epoch(self, mode):
+        # a later epoch's pairs allocate one pair's temporaries at a time:
+        # below 6 of one slice's (m, H, W) complex stacks, where the 48
+        # stacked pairs are larger than that bound
+        slices = tiny_slices(n=48, grid=32, m=8, with_second=True)
+        cfg, rng = TrainConfig(mode=mode), np.random.default_rng(0)
+        pairs, _ = _epoch_pairs(slices, cfg, rng)
+        bound = 6 * slices[0].stack.nbytes
+        assert sum(getattr(pairs, f.name).nbytes for f in fields(TrainingPair)) > 2 * bound
+        tracemalloc.start()
+        try:
+            _epoch_pairs(slices, cfg, rng, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     def test_unit_maps_unless_normalized_c2c(self):
         slices = tiny_slices(n=2, with_second=True)
