@@ -149,7 +149,7 @@ def _cmd_train(args):
     train_config = TrainConfig(**t, seed=args.seed)
     slices = datasets.simulate_dataset(cfg, n_slices, args.seed, with_second=MODES[train_config.mode][1] == "stack_b")
     # validation draws from its own seed, so skipping it leaves training unchanged
-    val = datasets.simulate_dataset(cfg, n_val, args.seed + 10_000) if n_val and t["validate_every"] else None
+    val = datasets.simulate_dataset(cfg, n_val, args.seed + 10_000) if n_val else None
     params, log, _ = train(slices, net_config, train_config, val_slices=val)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -169,9 +169,7 @@ def _cmd_denoise(args):
     if args.image is not None:
         result = denoise_image(params, _read_real(args.image), mask=mask)
     elif args.stack is not None and args.sens is not None:
-        stack = tensorio.read_tensor(args.stack).astype(np.complex128)
-        sens = tensorio.read_tensor(args.sens).astype(np.complex128)
-        result = denoise(params, stack, sens, mask=mask)
+        result = denoise(params, tensorio.read_tensor(args.stack), tensorio.read_tensor(args.sens), mask=mask)
     else:
         print("denoise: need either --image or both --stack and --sens", file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ DEFAULTS = {
     "training": {
         **{k: v for k, v in asdict(TrainConfig()).items() if k != "seed"},
         "slices": 200,
-        "val_slices": 20,
+        "val_slices": 0,  # > 0 validates after every epoch
     },
 }
 

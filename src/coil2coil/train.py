@@ -45,12 +45,13 @@ SPLIT_CANDIDATES = 8  # random splits scored by two-group inference
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings that decide the weights; validation is not one of them:
+    train validates after every epoch exactly when given validation slices."""
     epochs: int = 30
     batch_size: int = 8
     base_lr: float = 1e-4
     mode: str = "C2C"
     seed: int = 0
-    validate_every: int = 0  # 0 disables per-epoch validation
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -61,8 +62,6 @@ class TrainConfig:
             raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
-        if self.validate_every < 0:
-            raise ValueError("validate_every must be >= 0")
 
 
 @dataclass
@@ -167,10 +166,11 @@ def train(slices, net_config, config, val_slices=None):
 
     slices is a sequence of SliceData with identical image shapes.  Every
     network input is scale-normalized to unit masked std (the label is
-    scaled with it); validation pSNR is computed in original units.  Each
-    epoch refills one stack of (N, H, W) pair arrays in place; a step takes
-    a batch of them by index (a copy) and makes one forward, one c2c_loss
-    over the batch, one backward and one Adam step.
+    scaled with it).  Each epoch refills one stack of (N, H, W) pair arrays
+    in place; a step takes a batch of them by index (a copy) and makes one
+    forward, one c2c_loss over the batch, one backward and one Adam step.
+    Given val_slices, every epoch ends with validate (pSNR in original units;
+    it touches neither the parameters nor the rng); else val_psnrs is nan.
     """
     if not slices:
         raise ValueError("empty training dataset")
@@ -205,10 +205,7 @@ def train(slices, net_config, config, val_slices=None):
         log.losses.append(float(np.mean(epoch_losses)))
         log.lrs.append(lr)
         log.wall_times.append(time.perf_counter() - t0)
-        if val_slices and config.validate_every and (epoch + 1) % config.validate_every == 0:
-            log.val_psnrs.append(validate(params, val_slices))
-        else:
-            log.val_psnrs.append(float("nan"))
+        log.val_psnrs.append(validate(params, val_slices) if val_slices else float("nan"))
     return params, log, splits_seen
 
 

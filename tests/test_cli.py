@@ -8,7 +8,8 @@ import pytest
 from coil2coil.cli import cli_main
 from coil2coil.metrics import paired_t_test, psnr, ssim
 from coil2coil.network import NetworkConfig, init_network
-from coil2coil.tensorio import read_tensor, save_checkpoint, tensor_bytes, write_tensor
+from coil2coil.tensorio import load_checkpoint, read_tensor, save_checkpoint, tensor_bytes, write_tensor
+from coil2coil.train import denoise
 
 TINY_CONFIG = """
 [phantom]
@@ -163,6 +164,24 @@ class TestTrainDenoiseEval:
         ])
         assert code == 0
         assert (ev / "metrics.csv").exists()
+
+    def test_denoise_file_equals_denoise_on_the_tensors_as_read(self, tmp_path):
+        # the complex64 tensors go to denoise as read, as perfbench's requests pass them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[phantom]\ngrid_size = 32\n[coils]\nchannels = 8\n")
+        sim, den, ckpt = tmp_path / "sim", tmp_path / "den", tmp_path / "net.c2k"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(sim), "--seed", "2"]) == 0
+        params = init_network(NetworkConfig(depth=3, features=4), np.random.default_rng(0))
+        save_checkpoint(ckpt, params)
+        assert cli_main([
+            "denoise", "--checkpoint", str(ckpt), "--stack", str(sim / "stack.c2t"),
+            "--sens", str(sim / "sens.c2t"), "--mask", str(sim / "mask.c2t"), "--out", str(den),
+        ]) == 0
+        want = denoise(
+            load_checkpoint(ckpt), read_tensor(sim / "stack.c2t"), read_tensor(sim / "sens.c2t"),
+            mask=read_tensor(sim / "mask.c2t"),
+        )
+        assert read_tensor(den / "denoised.c2t").tobytes() == want.astype(np.float32).tobytes()
 
     def test_eval_self_comparison_and_ttest(self, tmp_path, tiny_config):
         sim = tmp_path / "sim"
@@ -431,10 +450,16 @@ class TestErrorsAndGradcheck:
 
     @pytest.mark.parametrize("size", ["\nslices = 4", "\nval_slices = 0"], ids=["slices", "val_slices"])
     def test_negative_dataset_size_is_data_error(self, tmp_path, tiny_config, capsys, size):
-        # with validation asked for, so a negative validation set cannot pass as none
         cfg = tmp_path / "negative.cfg"
-        text = tiny_config.read_text().replace(size, size.split("=")[0] + "= -3")
-        cfg.write_text(text.replace("[training]\n", "[training]\nvalidate_every = 1\n"))
+        cfg.write_text(tiny_config.read_text().replace(size, size.split("=")[0] + "= -3"))
+        assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        assert "-3" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_negative_validation_size_alone_is_data_error(self, tmp_path, tiny_config, capsys):
+        # val_slices is the one validation switch, so no other key has to turn it on
+        cfg = tmp_path / "negative.cfg"
+        cfg.write_text(tiny_config.read_text().split("[training]")[0] + "[training]\nval_slices = -3\n")
         assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 2
         assert "-3" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()

@@ -69,6 +69,7 @@ class TestParsing:
             ("training", "lr_decay"),
             ("training", "whiten"),
             ("training", "normalize"),
+            ("training", "validate_every"),
             ("network", "leaky_slope"),
             ("network", "bn_momentum"),
             ("network", "bn_eps"),
@@ -77,7 +78,8 @@ class TestParsing:
     def test_settings_fixed_as_constants_are_unknown_keys(self, section, key):
         # the phantom family, coil ring, mask rule, lr decay, leaky slope and
         # batch-norm settings are module constants; whitening and sensitivity
-        # normalization are chosen by the mode (C2C-unwhitened, C2C-unnormalized)
+        # normalization are chosen by the mode (C2C-unwhitened, C2C-unnormalized);
+        # per-epoch validation runs exactly when val_slices is non-zero
         with pytest.raises(ConfigError, match=rf"line 3: unknown key '{key}'"):
             parse_config(f"[{section}]\n\n{key} = 1\n")
 
@@ -98,7 +100,6 @@ class TestParsing:
     @pytest.mark.parametrize(
         "section, key, value",
         [
-            ("training", "validate_every", "-1"),
             ("training", "base_lr", "-0.5"),
             ("training", "base_lr", "0"),
             ("training", "base_lr", "nan"),
@@ -199,3 +200,12 @@ def test_readme_key_list_matches_defaults():
         listed[names[0].strip("[]")] = names[1:]
     assert listed == {section: list(keys) for section, keys in DEFAULTS.items()}
     assert int(found.group(1)) == sum(map(len, DEFAULTS.values()))
+
+
+def test_readme_ini_blocks_parse():
+    # README's example configs have to keep up as keys are retired
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks, "README has no ini block"
+    for block in blocks:
+        parse_config(block)

@@ -222,12 +222,22 @@ class TestTrainLoop:
     def test_validation_logged(self):
         slices = tiny_slices(n=2)
         net_cfg = NetworkConfig(depth=3, features=2)
-        cfg = TrainConfig(epochs=2, batch_size=2, base_lr=1e-4, validate_every=1, seed=0)
+        cfg = TrainConfig(epochs=2, batch_size=2, base_lr=1e-4, seed=0)
         _, log, _ = train(slices, net_cfg, cfg, val_slices=slices)
         assert len(log.val_psnrs) == 2
         assert all(np.isfinite(v) for v in log.val_psnrs)
         rows = log.rows()
         assert len(rows) == 2 and rows[0][0] == 0
+
+    def test_no_validation_without_val_slices(self, monkeypatch):
+        # validation slices are the one switch: without them no epoch validates
+        calls = []
+        monkeypatch.setattr(train_mod, "validate", lambda *a: calls.append(a) or 0.0)
+        cfg = TrainConfig(epochs=3, batch_size=2, base_lr=1e-4, seed=0)
+        for val in (None, []):
+            _, log, _ = train(tiny_slices(n=2), NetworkConfig(depth=3, features=2), cfg, val_slices=val)
+            assert len(log.val_psnrs) == 3 and all(np.isnan(v) for v in log.val_psnrs)
+        assert calls == []
 
 
 class TestEpochPairs:
