@@ -17,7 +17,7 @@ import numpy as np
 from . import datasets, network, tensorio
 from .config import ConfigError, load_config
 from .metrics import paired_t_test, psnr, ssim
-from .pairs import empirical_noise_correlations, make_training_pair, split_channels
+from .pairs import empirical_noise_correlations
 from .train import MODES, TrainConfig, denoise, denoise_image, train
 
 GRADCHECK_TOL = 1e-4
@@ -35,11 +35,9 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="emit phantom, sensitivities, covariance, noisy stack")
     add_common(p)
-    p.add_argument("--sigma", type=float, default=None, help="override noise level")
 
-    p = sub.add_parser("pairgen", help="emit a training pair plus whitening diagnostics")
+    p = sub.add_parser("pairgen", help="emit the configured mode's training pair plus whitening diagnostics")
     add_common(p)
-    p.add_argument("--no-whiten", action="store_true")
     p.add_argument("--realizations", type=int, default=2000, help="Monte-Carlo size for the diagnostic")
 
     p = sub.add_parser("train", help="train a denoiser on a simulated dataset")
@@ -91,8 +89,6 @@ def _read_mask(path):
 
 def _cmd_simulate(args):
     cfg = load_config(args.config)
-    if args.sigma is not None:
-        cfg["noise"]["sigma"] = args.sigma
     data = datasets.simulate_slice(cfg, np.random.default_rng(args.seed))
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -109,11 +105,13 @@ def _cmd_simulate(args):
 
 def _cmd_pairgen(args):
     cfg = load_config(args.config)
+    mode = TrainConfig(mode=cfg["training"]["mode"]).mode  # an unknown mode is refused as train refuses it
+    build, needs = MODES[mode]
+    if needs:  # N2N and N2CL pair the full combination with another field of the slice
+        raise ValueError(f"pairgen needs a C2C mode: {mode} splits no channels, so there is no pair noise to check")
     rng = np.random.default_rng(args.seed)
     data = datasets.simulate_slice(cfg, rng)
-    split = split_channels(data.stack.shape[0], rng)
-    whiten = not args.no_whiten
-    pair = make_training_pair(data.stack, data.sens, data.psi, split, data.mask, whiten=whiten)
+    pair, split = build(data, rng)
     # before any file is written, so a refused --realizations leaves none
     corr_on, corr_off = empirical_noise_correlations(
         data.phantom, data.sens, data.psi, split, data.mask, args.realizations,
@@ -164,15 +162,16 @@ def _cmd_train(args):
 
 
 def _cmd_denoise(args):
+    given = tuple(x is not None for x in (args.image, args.stack, args.sens))
+    if given not in ((True, False, False), (False, True, True)):
+        print("denoise: need either --image or both --stack and --sens, not both", file=sys.stderr)
+        return 1
     params = tensorio.load_checkpoint(args.checkpoint)
     mask = _read_mask(args.mask) if args.mask else None
     if args.image is not None:
         result = denoise_image(params, _read_real(args.image), mask=mask)
-    elif args.stack is not None and args.sens is not None:
-        result = denoise(params, tensorio.read_tensor(args.stack), tensorio.read_tensor(args.sens), mask=mask)
     else:
-        print("denoise: need either --image or both --stack and --sens", file=sys.stderr)
-        return 1
+        result = denoise(params, tensorio.read_tensor(args.stack), tensorio.read_tensor(args.sens), mask=mask)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     tensorio.write_tensor(out / "denoised.c2t", result)

@@ -120,19 +120,12 @@ def combine_all(stack, sens):
     return np.abs(np.einsum("chw,chw->hw", np.conj(sens), stack))
 
 
-def make_training_pair(stack, sens, psi, split, mask, whiten=True):
-    """Build a noise-independent training pair from one acquisition.
-
-    The label is alpha*I_input + beta*I_label and its sensitivity map
-    alpha*S_j + beta*S_k.  With whiten on, (alpha, beta) are the GLS
-    coefficients of the analytically propagated noise statistics; with
-    whiten off they are (0, 1), so label and map are the raw second-group
-    combination and S_k bit for bit (ablation).  The arrays go through
-    check_slice first, so a bad psi is refused either way.
-    """
+def make_training_pair(stack, sens, psi, split, mask):
+    """Build a noise-independent training pair from one acquisition: the
+    whitened pair_from_checked of the arrays after check_slice."""
     stack, sens, psi, mask = check_slice(stack, sens, psi, mask)
     _check_split(split, len(stack))
-    return pair_from_checked(stack, sens, psi, split, mask, whiten)
+    return pair_from_checked(stack, sens, psi, split, mask, True)
 
 
 def _check_split(split, m):
@@ -150,9 +143,16 @@ def check_slice(stack, sens, psi, mask):
 
 
 def pair_from_checked(stack, sens, psi, split, mask, whiten):
-    """make_training_pair on arrays that passed check_slice, with a split of
-    all m channels, checking nothing.  Each group's sensitivities are indexed
-    and conjugated once, for its combination, its gain and the noise Grams."""
+    """A training pair from arrays that passed check_slice, with a split of
+    all m channels, checking nothing.
+
+    The label is alpha*I_input + beta*I_label and its sensitivity map
+    alpha*S_j + beta*S_k.  With whiten on, (alpha, beta) are the GLS
+    coefficients of the analytically propagated noise statistics; with
+    whiten off they are (0, 1), so label and map are the raw second-group
+    combination and S_k bit for bit (ablation).  Each group's sensitivities
+    are indexed and conjugated once, for its combination, its gain and the
+    noise Grams."""
     groups = [sens_group(sens, psi, sorted(g)) for g in (split.group_j, split.group_k)]
     img_in, img_lab = (np.abs(np.einsum("chw,chw->hw", c, stack[g])) for g, c, _ in groups)
     s_j, s_k = (np.sum(np.abs(c) ** 2, axis=0) for _, c, _ in groups)

@@ -135,7 +135,7 @@ class TestPairGeneration:
     def test_noise_free_consistency(self, report):
         phantom, sens, psi, mask, split = whitening_scene()
         clean_stack = sens * phantom[None]
-        pair = make_training_pair(clean_stack, sens, psi, split, mask, whiten=True)
+        pair = make_training_pair(clean_stack, sens, psi, split, mask)
         usable = mask & (pair.sens_label > 0)
         rescaled = pair.sens_in * pair.image_label / pair.sens_label
         rel = np.abs(rescaled[usable] - pair.image_in[usable]) / np.abs(pair.image_in[usable])

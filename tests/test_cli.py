@@ -1,13 +1,20 @@
 import dataclasses
 import json
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coil2coil import cli
 from coil2coil.cli import cli_main
+from coil2coil.config import load_config
+from coil2coil.datasets import simulate_slice
 from coil2coil.metrics import paired_t_test, psnr, ssim
 from coil2coil.network import NetworkConfig, init_network
+from coil2coil.pairs import pair_from_checked, split_channels
 from coil2coil.tensorio import load_checkpoint, read_tensor, save_checkpoint, tensor_bytes, write_tensor
 from coil2coil.train import denoise
 
@@ -47,11 +54,10 @@ def tree_bytes(root):
 
 class TestSimulate:
     def test_outputs_and_zero_sigma(self, tmp_path, tiny_config):
+        cfg = tmp_path / "quiet.cfg"
+        cfg.write_text(tiny_config.read_text().replace("sigma = 0.5", "sigma = 0"))
         out = tmp_path / "sim"
-        code = cli_main([
-            "simulate", "--config", str(tiny_config), "--out", str(out),
-            "--seed", "3", "--sigma", "0",
-        ])
+        code = cli_main(["simulate", "--config", str(cfg), "--out", str(out), "--seed", "3"])
         assert code == 0
         for name in ("phantom", "sens", "psi", "mask", "stack", "clean_stack", "clean"):
             assert (out / f"{name}.c2t").exists()
@@ -68,13 +74,12 @@ class TestSimulate:
             assert cli_main(["simulate", "--config", str(tiny_config), "--out", str(out), "--seed", "5"]) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
-    def test_sigma_flag_sets_the_config_noise_sigma(self, tmp_path, tiny_config):
-        cfg = tmp_path / "loud.cfg"
-        cfg.write_text(tiny_config.read_text().replace("sigma = 0.5", "sigma = 0.7"))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert cli_main(["simulate", "--config", str(tiny_config), "--out", str(a), "--sigma", "0.7"]) == 0
-        assert cli_main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
-        assert tree_bytes(a) == tree_bytes(b)
+    @pytest.mark.parametrize("argv", [["simulate", "--sigma", "0.7"], ["pairgen", "--no-whiten"]])
+    def test_retired_flags_are_usage_errors(self, tmp_path, argv):
+        # [noise] sigma and mode = C2C-unwhitened are the one way to set these
+        out = tmp_path / "o"
+        assert cli_main([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestPairgen:
@@ -91,14 +96,48 @@ class TestPairgen:
         values = dict(line.split(",") for line in diag[1:])
         assert float(values["noise_correlation_whitened"]) < float(values["noise_correlation_raw"])
 
-    def test_no_whiten_flag(self, tmp_path, tiny_config):
+    def test_unwhitened_mode_writes_the_raw_pair(self, tmp_path, tiny_config):
+        # the slice and then the split are drawn from one rng seeded with --seed
+        cfg = tmp_path / "raw.cfg"
+        cfg.write_text(TINY_CONFIG + "mode = C2C-unwhitened\n")
         out = tmp_path / "raw"
-        code = cli_main([
-            "pairgen", "--config", str(tiny_config), "--out", str(out),
-            "--seed", "2", "--realizations", "500", "--no-whiten",
-        ])
+        code = cli_main(["pairgen", "--config", str(cfg), "--out", str(out), "--seed", "2", "--realizations", "500"])
         assert code == 0
-        assert (out / "label.c2t").exists()
+        rng = np.random.default_rng(2)
+        data = simulate_slice(load_config(tiny_config), rng)
+        split = split_channels(data.stack.shape[0], rng)
+        pair = pair_from_checked(data.stack, data.sens, data.psi, split, data.mask, whiten=False)
+        fields = {"input": "image_in", "label": "image_label", "sens_in": "sens_in", "sens_label": "sens_label"}
+        for name, field in fields.items():
+            assert (out / f"{name}.c2t").read_bytes() == tensor_bytes(getattr(pair, field)), name
+
+    def test_unnormalized_mode_writes_unit_maps(self, tmp_path, tiny_config):
+        cfg = tmp_path / "unit.cfg"
+        cfg.write_text(TINY_CONFIG + "mode = C2C-unnormalized\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        for config, out in ((tiny_config, a), (cfg, b)):
+            argv = ["pairgen", "--config", str(config), "--out", str(out), "--seed", "2", "--realizations", "500"]
+            assert cli_main(argv) == 0
+        for name in ("sens_in", "sens_label"):
+            assert np.all(read_tensor(b / f"{name}.c2t") == 1)
+        for name in ("input.c2t", "label.c2t", "mask.c2t", "diagnostics.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["N2N", "N2CL", "c2c"])
+    def test_unknown_and_unsplit_modes_are_refused(self, tmp_path, capsys, mode):
+        # exit 2 and no output directory, as train refuses an unknown mode;
+        # N2N and N2CL split no channels, so the Monte-Carlo check has nothing to measure
+        cfg = tmp_path / "mode.cfg"
+        cfg.write_text(TINY_CONFIG + f"mode = {mode}\n")
+        out = tmp_path / "pair"
+        assert cli_main(["pairgen", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert not out.exists()
+        if mode == "c2c":
+            assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+            assert capsys.readouterr().err == err
+        else:
+            assert "splits no channels" in err
 
     @pytest.mark.parametrize("n", ["0", "1"])
     def test_fewer_than_two_realizations_is_data_error(self, tmp_path, tiny_config, capsys, n):
@@ -319,6 +358,17 @@ class TestTrainDenoiseEval:
         assert code == 2
         assert "cplx.c2t" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inputs", [
+        "--image --stack --sens", "--image --stack", "--image --sens", "--stack", "--sens",
+    ])
+    def test_denoise_takes_one_input(self, tmp_path, capsys, inputs):
+        # a usage error before anything is read: none of the files exists
+        argv = [arg for flag in inputs.split() for arg in (flag, str(tmp_path / "missing.c2t"))]
+        out = tmp_path / "den"
+        assert cli_main(["denoise", "--checkpoint", str(tmp_path / "missing.c2k"), *argv, "--out", str(out)]) == 1
+        assert "either --image or both --stack and --sens" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_denoise_argument_validation(self, tmp_path, tiny_config):
         run = tmp_path / "t"
         assert cli_main(["train", "--config", str(tiny_config), "--out", str(run), "--seed", "1"]) == 0
@@ -332,6 +382,22 @@ class TestErrorsAndGradcheck:
     def test_usage_error(self):
         assert cli_main(["bogus"]) == 1
         assert cli_main([]) == 1
+
+    def test_readme_commands_parse(self):
+        # every c2c line of README's shell blocks, continuation lines joined,
+        # so a retired flag cannot stay in the docs; together they show each command
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+        parser = cli._build_parser()
+        commands = set()
+        for line in lines:
+            if line.startswith("c2c "):
+                try:
+                    commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+                except SystemExit:
+                    pytest.fail(f"README command does not parse: {line}")
+        assert commands == set(cli._COMMANDS)
 
     def test_help_exits_zero(self):
         assert cli_main(["--help"]) == 0

@@ -21,6 +21,7 @@ from coil2coil.pairs import (
     empirical_noise_correlation,
     empirical_noise_correlations,
     make_training_pair,
+    pair_from_checked,
     split_channels,
     whitening_coefficients,
 )
@@ -149,9 +150,7 @@ class TestMakeTrainingPair:
         # S_label * I_in == S_in * label'
         scene = SyntheticScene()
         clean_stack = scene.sens * scene.phantom[None]
-        pair = make_training_pair(
-            clean_stack, scene.sens, scene.psi, scene.split, scene.mask, whiten=True
-        )
+        pair = make_training_pair(clean_stack, scene.sens, scene.psi, scene.split, scene.mask)
         lhs = pair.sens_label * pair.image_in
         rhs = pair.sens_in * pair.image_label
         scale = np.abs(lhs[scene.mask]).max()
@@ -167,8 +166,8 @@ class TestMakeTrainingPair:
         mask = np.ones((8, 8), bool)
         psi = np.eye(m, dtype=complex)
         split = ChannelSplit((0,), (1,))
-        on = make_training_pair(stack, sens, psi, split, mask, whiten=True)
-        off = make_training_pair(stack, sens, psi, split, mask, whiten=False)
+        on = make_training_pair(stack, sens, psi, split, mask)
+        off = pair_from_checked(stack, sens, psi, split, mask, whiten=False)
         assert np.allclose(on.image_label, off.image_label, rtol=1e-12)
         assert np.allclose(on.sens_label, off.sens_label, rtol=1e-12)
 
@@ -181,7 +180,7 @@ class TestMakeTrainingPair:
         scene = SyntheticScene(m=m)
         stack = synthesize_acquisition(scene.phantom, scene.sens, scene.psi, scene.rng)
         split = split_channels(m, scene.rng)
-        pair = make_training_pair(stack, scene.sens, scene.psi, split, scene.mask, whiten=False)
+        pair = pair_from_checked(stack, scene.sens, scene.psi, split, scene.mask, whiten=False)
         raw = np.abs(coil_combine(stack, scene.sens, split.group_k))
         assert pair.image_label.tobytes() == raw.tobytes()
         assert pair.sens_label.tobytes() == effective_sensitivity(scene.sens, split.group_k).tobytes()

@@ -7,6 +7,7 @@ import pytest
 
 from coil2coil import imaging
 from coil2coil import pairs as pairs_mod
+from coil2coil import train as train_mod
 from coil2coil.datasets import SliceData
 from coil2coil.imaging import coil_combine, effective_sensitivity
 from coil2coil.network import NetworkConfig, init_network
@@ -34,9 +35,6 @@ from coil2coil.train import (
     train,
     validate,
 )
-
-train_mod = importlib.import_module("coil2coil.train")  # the package's `train` is the function
-
 
 def random_pair(rng, shape=(6, 6)):
     mask = np.zeros(shape, bool)
@@ -464,3 +462,8 @@ class TestInference:
             psnr(combine_all(s.stack, s.sens), s.clean, s.mask) for s in slices
         ])
         assert validate(params, slices) == pytest.approx(want, rel=1e-9)
+
+
+def test_the_package_attribute_train_is_the_module():
+    # the package re-exports nothing, so no function shadows its submodule
+    assert importlib.import_module("coil2coil").train is importlib.import_module("coil2coil.train")
